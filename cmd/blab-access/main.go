@@ -341,8 +341,7 @@ func main() {
 			log.Fatalf("http: %v", err)
 		}
 	}()
-	fmt.Printf("  web console        : http://%s/api/nodes\n", *httpAddr)
-	fmt.Printf("  remote API         : http://%s/api/v1/nodes\n", *httpAddr)
+	fmt.Printf("  web console / API  : http://%s/api/v1/nodes\n", *httpAddr)
 	fmt.Printf("  metrics            : http://%s/api/v1/metrics (healthz/readyz unauthenticated)\n", *httpAddr)
 
 	// Federation: install the cross-server relay (internal/remote speaks

@@ -94,6 +94,17 @@ func (l *Ledger) restore(user string, balance float64, entries []LedgerEntry) {
 	l.history[user] = append([]LedgerEntry(nil), entries...)
 }
 
+// entries counts the retained history entries across all members.
+func (l *Ledger) entries() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, h := range l.history {
+		n += len(h)
+	}
+	return n
+}
+
 // hostingEntry is the ledger entry one contribution flush produces —
 // shared by the live credit path and WAL replay so both write the
 // identical movement.
@@ -114,11 +125,10 @@ func (l *Ledger) CreditContribution(user, node string, dur time.Duration) float6
 	return e.Delta
 }
 
-// creditHostingQuiet applies a contribution movement without invoking
-// the WAL hook: the caller has already written (or is replaying) the
-// combined TNodeHostingFlush record that carries it.
-func (l *Ledger) creditHostingQuiet(user, node string, dur time.Duration) {
-	e := hostingEntry(node, dur)
+// addQuiet applies a movement without invoking the WAL hook: the
+// caller is replaying it, or commits the record that carries it (a
+// TNodeHostingFlush).
+func (l *Ledger) addQuiet(user string, e LedgerEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	hook := l.hook

@@ -199,9 +199,8 @@ func (s *Server) adoptPeer(name, url string) {
 	if _, ok := s.cluster.Peer(name); ok {
 		return
 	}
-	s.cluster.Restore(name, url)
 	s.mu.Lock()
-	s.logStore(store.Record{T: store.TPeerJoined, Peer: &store.PeerRec{Name: name, URL: url}})
+	s.commitLocked(store.Record{T: store.TPeerJoined, Peer: &store.PeerRec{Name: name, URL: url}})
 	s.mu.Unlock()
 }
 
@@ -255,7 +254,7 @@ func (s *Server) handlerCluster(mux *http.ServeMux) {
 			// First contact (or a moved URL): persist membership so the
 			// peer set survives a restart.
 			s.mu.Lock()
-			s.logStore(store.Record{T: store.TPeerJoined, Peer: &store.PeerRec{Name: ann.Name, URL: ann.URL}})
+			s.commitLocked(store.Record{T: store.TPeerJoined, Peer: &store.PeerRec{Name: ann.Name, URL: ann.URL}})
 			s.mu.Unlock()
 		}
 		writeJSON(w, http.StatusOK, s.cluster.View(now))
@@ -277,14 +276,17 @@ func (s *Server) handlerCluster(mux *http.ServeMux) {
 			return
 		}
 		name := r.PathValue("name")
-		if !s.cluster.Remove(name) {
+		s.mu.Lock()
+		_, known := s.cluster.Peer(name)
+		if known {
+			s.commitLocked(store.Record{T: store.TPeerLeft, Name: name})
+		}
+		s.mu.Unlock()
+		if !known {
 			writeAPIError(w, apiError(codeNotFound, "no peer "+name))
 			return
 		}
 		s.reclaimPeer(name)
-		s.mu.Lock()
-		s.logStore(store.Record{T: store.TPeerLeft, Name: name})
-		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]any{"removed": true})
 	})
 }

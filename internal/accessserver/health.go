@@ -193,28 +193,24 @@ func (s *Server) MonitorNode(name string) error {
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	rec := s.recLocked(name)
-	rec.removed = false
-	rec.devices = devices
 	rec.lastBeat = s.clock.Now()
 	if rec.monitored {
-		s.publishNodesLocked()
-		s.mu.Unlock()
+		// Already armed: refresh the device cache only.
+		rec.devices = devices
+		s.mu.censusDirty = true
 		return nil
 	}
-	// A fresh arm ends any previous drain lifecycle: re-registering a
-	// serviced node must put it back in rotation, not leave it
-	// silently undispatchable behind a stale drain flag.
-	rec.draining = false
-	rec.monitored = true
+	// A fresh arm ends any previous drain or removal lifecycle:
+	// re-registering a serviced node must put it back in rotation, not
+	// leave it silently undispatchable behind a stale flag.
+	s.commitLocked(store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
+		Name: name, Owner: rec.owner, Monitored: true, Devices: devices,
+	}})
 	rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
 		s.probeNode(name)
 	})
-	s.logStore(store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
-		Name: name, Owner: rec.owner, Monitored: true, Devices: append([]string(nil), devices...),
-	}})
-	s.publishNodesLocked()
-	s.mu.Unlock()
 	return nil
 }
 
@@ -230,8 +226,7 @@ func (s *Server) SetNodeOwner(name, owner string) {
 	if prev := rec.owner; prev != owner {
 		s.flushHostingLocked(rec, prev)
 	}
-	rec.owner = owner
-	s.logStore(store.Record{T: store.TNodeOwner, Name: name, Owner: owner})
+	s.commitLocked(store.Record{T: store.TNodeOwner, Name: name, Owner: owner})
 	s.mu.Unlock()
 }
 
@@ -297,14 +292,11 @@ const contributionFlushEvery = 15 * time.Minute
 // neither double-pay nor drop one half. Callers hold s.mu (the lock
 // order snapshot compaction cuts under).
 func (s *Server) flushHostingLocked(rec *nodeRec, owner string) {
-	dur := rec.owedHosting
-	if owner == "" || dur <= 0 {
-		rec.owedHosting = 0
+	if owner == "" || rec.owedHosting <= 0 {
+		rec.owedHosting = 0 // nobody to credit: the accrual lapses
 		return
 	}
-	rec.owedHosting = 0
-	s.Ledger.creditHostingQuiet(owner, rec.name, dur)
-	s.logStore(store.Record{T: store.TNodeHostingFlush, Name: rec.name, Owner: owner, AtNS: int64(dur)})
+	s.commitLocked(store.Record{T: store.TNodeHostingFlush, Name: rec.name, Owner: owner, AtNS: int64(rec.owedHosting)})
 }
 
 // Heartbeat records a liveness beat for a node on the server clock.
@@ -345,7 +337,7 @@ func (s *Server) Heartbeat(name string) {
 	}
 	rec.lastBeat = now
 	pending := len(s.queue)
-	s.publishNodesLocked()
+	s.mu.censusDirty = true
 	s.mu.Unlock()
 	if pending > 0 && !wasOnline {
 		s.dispatch()
@@ -363,9 +355,7 @@ func (s *Server) DrainNode(user *User, name string) error {
 		return err
 	}
 	s.mu.Lock()
-	s.recLocked(name).draining = true
-	s.logStore(store.Record{T: store.TNodeDrain, Name: name, Draining: true})
-	s.publishNodesLocked()
+	s.commitLocked(store.Record{T: store.TNodeDrain, Name: name, Draining: true})
 	s.mu.Unlock()
 	return nil
 }
@@ -380,9 +370,7 @@ func (s *Server) UndrainNode(user *User, name string) error {
 		return err
 	}
 	s.mu.Lock()
-	s.recLocked(name).draining = false
-	s.logStore(store.Record{T: store.TNodeDrain, Name: name, Draining: false})
-	s.publishNodesLocked()
+	s.commitLocked(store.Record{T: store.TNodeDrain, Name: name, Draining: false})
 	s.mu.Unlock()
 	s.dispatch()
 	return nil
@@ -402,19 +390,16 @@ func (s *Server) RemoveNode(user *User, name string) error {
 	}
 	s.mu.Lock()
 	rec := s.recLocked(name)
-	rec.removed = true
-	rec.monitored = false
-	// Removal ends the drain lifecycle: a future registration of this
-	// name starts fresh instead of inheriting an undispatchable state.
-	rec.draining = false
 	if rec.ticker != nil {
 		rec.ticker.Stop()
 		rec.ticker = nil
 	}
 	// Final contribution flush: hosting time accrued below the lump
-	// threshold still belongs to the owner.
+	// threshold still belongs to the owner. Removal then ends the drain
+	// lifecycle too: a future registration of this name starts fresh
+	// instead of inheriting an undispatchable state.
 	s.flushHostingLocked(rec, rec.owner)
-	s.logStore(store.Record{T: store.TNodeRemoved, Name: name})
+	s.commitLocked(store.Record{T: store.TNodeRemoved, Name: name})
 	kept := s.queue[:0]
 	for _, b := range s.queue {
 		cons, _, err := s.pipelineLocked(b)
@@ -427,7 +412,6 @@ func (s *Server) RemoveNode(user *User, name string) error {
 		kept = append(kept, b)
 	}
 	s.queue = kept
-	s.publishNodesLocked()
 	s.mu.Unlock()
 	s.dispatch() // fallback builds re-place onto survivors
 	return nil

@@ -2,18 +2,12 @@ package accessserver
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-)
 
-func httpRig(t *testing.T) (*rig, *httptest.Server) {
-	t.Helper()
-	r := newRig(t)
-	srv := httptest.NewServer(r.srv.Handler())
-	t.Cleanup(srv.Close)
-	return r, srv
-}
+	"batterylab/internal/api"
+)
 
 func get(t *testing.T, url, token string) *http.Response {
 	t.Helper()
@@ -28,158 +22,54 @@ func get(t *testing.T, url, token string) *http.Response {
 	return resp
 }
 
-func post(t *testing.T, url, token string) *http.Response {
-	t.Helper()
-	req, _ := http.NewRequest(http.MethodPost, url, nil)
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
+// TestHTTPAuthRequired: a missing or unknown bearer token is 401 on the
+// v1 routes, read and write alike.
 func TestHTTPAuthRequired(t *testing.T) {
-	_, srv := httpRig(t)
-	resp := get(t, srv.URL+"/api/nodes", "")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("status = %d", resp.StatusCode)
+	v := newV1Rig(t)
+	paths := []struct{ method, path string }{
+		{"GET", "/api/v1/nodes"},
+		{"GET", fmt.Sprintf("/api/v1/builds/%d", v.doneBuild)},
+		{"POST", fmt.Sprintf("/api/v1/builds/%d/cancel", v.doneBuild)},
 	}
-	resp = get(t, srv.URL+"/api/nodes", "wrong-token")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-}
-
-func TestHTTPRoleGating(t *testing.T) {
-	r, srv := httpRig(t)
-	// Tester lacks PermViewConsole.
-	resp := get(t, srv.URL+"/api/nodes", r.tst.Token)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("tester console access: %d", resp.StatusCode)
-	}
-}
-
-func TestHTTPNodesAndDevices(t *testing.T) {
-	r, srv := httpRig(t)
-	resp := get(t, srv.URL+"/api/nodes", r.exp.Token)
-	defer resp.Body.Close()
-	var nodes []string
-	json.NewDecoder(resp.Body).Decode(&nodes)
-	if len(nodes) != 1 || nodes[0] != "node1" {
-		t.Fatalf("nodes = %v", nodes)
-	}
-	resp2 := get(t, srv.URL+"/api/nodes/node1/devices", r.exp.Token)
-	defer resp2.Body.Close()
-	var devs []string
-	json.NewDecoder(resp2.Body).Decode(&devs)
-	if len(devs) != 1 {
-		t.Fatalf("devices = %v", devs)
-	}
-}
-
-func TestHTTPBuildFlow(t *testing.T) {
-	r, srv := httpRig(t)
-	r.srv.CreateJob(r.admin, "demo", Constraints{Node: "node1"},
-		func(ctx *BuildContext, done func(error)) {
-			ctx.Build.Workspace().Save("out.csv", []byte("1,2"))
-			ctx.Logf("hello from demo")
-			done(nil)
-		})
-
-	resp := post(t, srv.URL+"/api/jobs/demo/build", r.exp.Token)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("build trigger: %d", resp.StatusCode)
-	}
-	var out struct {
-		Build int    `json:"build"`
-		State string `json:"state"`
-	}
-	json.NewDecoder(resp.Body).Decode(&out)
-	if out.Build == 0 {
-		t.Fatalf("build id = %d", out.Build)
-	}
-
-	resp2 := get(t, srv.URL+"/api/builds/1", r.exp.Token)
-	defer resp2.Body.Close()
-	var st struct {
-		State string `json:"state"`
-	}
-	json.NewDecoder(resp2.Body).Decode(&st)
-	if st.State != "success" {
-		t.Fatalf("state = %q", st.State)
-	}
-
-	resp3 := get(t, srv.URL+"/api/builds/1/log", r.exp.Token)
-	defer resp3.Body.Close()
-	buf := make([]byte, 4096)
-	n, _ := resp3.Body.Read(buf)
-	if got := string(buf[:n]); !contains(got, "hello from demo") {
-		t.Fatalf("log = %q", got)
-	}
-
-	resp4 := get(t, srv.URL+"/api/builds/1/artifacts", r.exp.Token)
-	defer resp4.Body.Close()
-	var arts []string
-	json.NewDecoder(resp4.Body).Decode(&arts)
-	if len(arts) != 1 || arts[0] != "out.csv" {
-		t.Fatalf("artifacts = %v", arts)
-	}
-}
-
-func TestHTTPApproveFlow(t *testing.T) {
-	r, srv := httpRig(t)
-	r.srv.CreateJob(r.exp, "needs", Constraints{Node: "node1"},
-		func(ctx *BuildContext, done func(error)) { done(nil) })
-
-	// Experimenter cannot approve over HTTP either.
-	resp := post(t, srv.URL+"/api/jobs/needs/approve", r.exp.Token)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("experimenter approve: %d", resp.StatusCode)
-	}
-	resp = post(t, srv.URL+"/api/jobs/needs/approve", r.admin.Token)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("admin approve: %d", resp.StatusCode)
-	}
-	resp = post(t, srv.URL+"/api/jobs/needs/build", r.exp.Token)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("build after approval: %d", resp.StatusCode)
-	}
-}
-
-func TestHTTPBadBuildID(t *testing.T) {
-	r, srv := httpRig(t)
-	resp := get(t, srv.URL+"/api/builds/abc", r.exp.Token)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	resp = get(t, srv.URL+"/api/builds/999", r.exp.Token)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
-		(len(s) > 0 && indexOf(s, sub) >= 0))
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
+	for _, token := range []string{"", "wrong-token"} {
+		for _, p := range paths {
+			resp := v.request(t, p.method, p.path, token, "")
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnauthorized {
+				t.Errorf("%s %s with token %q: status %d, want 401", p.method, p.path, token, resp.StatusCode)
+			}
 		}
 	}
-	return -1
+}
+
+// TestHTTPNodesAndDevices: the v1 node listing names the registered
+// vantage point with its devices.
+func TestHTTPNodesAndDevices(t *testing.T) {
+	v := newV1Rig(t)
+	resp := v.request(t, "GET", "/api/v1/nodes", v.exp.Token, "")
+	defer resp.Body.Close()
+	var nodes []api.NodeInfo
+	if err := json.NewDecoder(resp.Body).Decode(&nodes); err != nil {
+		t.Fatal(err)
+	}
+	if len(nodes) != 1 || nodes[0].Name != "node1" || len(nodes[0].Devices) != 1 {
+		t.Fatalf("nodes = %+v, want node1 with its one device", nodes)
+	}
+}
+
+// TestHTTPBadBuildID: every v1 build route answers 400 for a
+// non-integer id and 404 for an unknown one.
+func TestHTTPBadBuildID(t *testing.T) {
+	v := newV1Rig(t)
+	for _, route := range []struct{ method, suffix string }{
+		{"GET", ""}, {"GET", "/artifacts"}, {"GET", "/artifacts/hello.txt"}, {"POST", "/cancel"},
+	} {
+		for id, want := range map[string]int{"abc": http.StatusBadRequest, "999": http.StatusNotFound} {
+			resp := v.request(t, route.method, "/api/v1/builds/"+id+route.suffix, v.admin.Token, "")
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s /api/v1/builds/%s%s: status %d, want %d", route.method, id, route.suffix, resp.StatusCode, want)
+			}
+		}
+	}
 }

@@ -265,22 +265,17 @@ func TestV1CampaignAtomicity(t *testing.T) {
 	}
 }
 
-// TestLegacyMethodEnforcement: read routes reject writes and vice
-// versa (the old mux served POST /api/nodes as a GET).
-func TestLegacyMethodEnforcement(t *testing.T) {
+// TestV1MethodEnforcement: read routes reject writes and vice versa.
+func TestV1MethodEnforcement(t *testing.T) {
 	v := newV1Rig(t)
 	cases := []struct {
 		method string
 		path   string
 	}{
-		{"POST", "/api/nodes"},
-		{"POST", "/api/jobs"},
-		{"POST", fmt.Sprintf("/api/builds/%d", v.doneBuild)},
-		{"POST", fmt.Sprintf("/api/builds/%d/log", v.doneBuild)},
-		{"GET", "/api/jobs/x/build"},
-		{"GET", "/api/jobs/x/approve"},
 		{"POST", "/api/v1/nodes"},
 		{"GET", "/api/v1/experiments"},
+		{"POST", fmt.Sprintf("/api/v1/builds/%d", v.doneBuild)},
+		{"GET", fmt.Sprintf("/api/v1/builds/%d/cancel", v.doneBuild)},
 		{"DELETE", fmt.Sprintf("/api/v1/builds/%d", v.doneBuild)},
 	}
 	for _, c := range cases {

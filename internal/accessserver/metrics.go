@@ -18,9 +18,10 @@ import (
 // Two disciplines coexist here. Hot-path counters that stand alone
 // (feed drops, heartbeats, credit movements) are registry atomics —
 // one uncontended atomic add per event. Scheduler lifecycle counters
-// are plain int64 fields mutated ONLY under s.mu, exactly where the
-// state they describe mutates, and emitted by a single collector that
-// takes s.mu at snapshot time: every snapshot therefore satisfies
+// are plain int64 fields mutated ONLY under s.mu — the state counters
+// in setStateLocked, with the build state they describe — and emitted
+// by a single collector that takes s.mu at snapshot time: every
+// snapshot therefore satisfies
 //
 //	builds_submitted_total == queue depth + running
 //	                          + Σ builds_finished_total{result=…}

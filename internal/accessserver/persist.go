@@ -2,7 +2,6 @@ package accessserver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"log/slog"
@@ -14,11 +13,17 @@ import (
 	"batterylab/internal/simclock"
 )
 
-// Persistence glue: the server's state mutations append to an optional
-// write-ahead log (internal/accessserver/store), and AttachStore
-// replays snapshot+WAL to reconstruct the in-memory maps after a
-// restart. The policy decisions live here; the store package only
-// frames records durably.
+// Persistence glue: every committed transition appends its record to
+// an optional write-ahead log (internal/accessserver/store), and
+// AttachStore rebuilds the server from snapshot+WAL after a restart.
+// The store package only frames records durably; recovery here is two
+// steps:
+//
+//   - the fold: the snapshot rows and then the WAL records go through
+//     applyLocked (transition.go), the same function the live path
+//     commits through, with the observers off. The folded state is the
+//     state the crashed server had at its last durable record.
+//   - the restart policy: what a restart does to that state, below.
 //
 // Recovery semantics, in one place:
 //
@@ -49,16 +54,16 @@ import (
 // replaces same-named users created earlier, which is what a daemon
 // that unconditionally creates "admin" on boot wants).
 
-// RecoveryStats summarizes what AttachStore reconstructed.
+// RecoveryStats summarizes the state AttachStore reconstructed.
 type RecoveryStats struct {
-	Users    int
-	Jobs     int
-	Nodes    int
-	Builds   int // total build records recovered
+	Users    int // users known after replay
+	Jobs     int // jobs restored from the store
+	Nodes    int // node lifecycle records after replay
+	Builds   int // build records recovered
 	Requeued int // queued at crash, back in the queue
 	Resumed  int // running at crash, routed through failover requeue
 	Failed   int // running at crash, retry budget spent (or recompile failed)
-	Ledger   int // ledger entries replayed
+	Ledger   int // ledger entries in the replayed histories
 }
 
 // logStore appends one record to the attached store (no-op without
@@ -106,262 +111,6 @@ func (s *Server) logStoreBatch(recs []store.Record) {
 	s.storeMu.Unlock()
 }
 
-// logJob records a job's current metadata (creation, edits and
-// approvals all upsert the same record).
-func (s *Server) logJob(j *Job) {
-	j.mu.Lock()
-	rec := store.JobRec{
-		Name:          j.Name,
-		Owner:         j.Owner,
-		Node:          j.constraints.Node,
-		Device:        j.constraints.Device,
-		RequireLowCPU: j.constraints.RequireLowCPU,
-		Fallback:      j.constraints.Fallback,
-		Approved:      j.approved,
-		Revision:      j.revision,
-	}
-	j.mu.Unlock()
-	s.logStore(store.Record{T: store.TJobPut, Job: &rec})
-}
-
-// logBuildFinishedLocked records a build's terminal transition.
-// Callers hold b.mu (and s.mu — the compaction ordering rule).
-func (s *Server) logBuildFinishedLocked(b *Build) {
-	s.logStore(finishedRecord(b))
-}
-
-// replayState folds snapshot+WAL into the latest value of every
-// record.
-type replayState struct {
-	users        map[string]store.UserRec
-	jobs         map[string]store.JobRec
-	nodes        map[string]store.NodeRec
-	builds       map[int]store.BuildRec
-	campaigns    map[int]store.CampaignRec
-	ledger       map[string][]store.LedgerRec
-	balances     map[string]float64
-	peers        map[string]store.PeerRec
-	nextBuild    int
-	nextCampaign int
-}
-
-func newReplayState(snap *store.Snapshot) *replayState {
-	rs := &replayState{
-		users:        map[string]store.UserRec{},
-		jobs:         map[string]store.JobRec{},
-		nodes:        map[string]store.NodeRec{},
-		builds:       map[int]store.BuildRec{},
-		campaigns:    map[int]store.CampaignRec{},
-		ledger:       map[string][]store.LedgerRec{},
-		balances:     map[string]float64{},
-		peers:        map[string]store.PeerRec{},
-		nextBuild:    1,
-		nextCampaign: 1,
-	}
-	if snap == nil {
-		return rs
-	}
-	for _, u := range snap.Users {
-		rs.users[u.Name] = u
-	}
-	for _, p := range snap.Peers {
-		rs.peers[p.Name] = p
-	}
-	for _, j := range snap.Jobs {
-		rs.jobs[j.Name] = j
-	}
-	for _, n := range snap.Nodes {
-		rs.nodes[n.Name] = n
-	}
-	for _, b := range snap.Builds {
-		rs.builds[b.ID] = b
-	}
-	for _, c := range snap.Campaigns {
-		rs.campaigns[c.ID] = c
-	}
-	for user, entries := range snap.Ledger {
-		rs.ledger[user] = append([]store.LedgerRec(nil), entries...)
-		// Fallback for snapshots predating the Balances field: the sum
-		// of the (then-unbounded) history is the balance.
-		total := 0.0
-		for _, e := range entries {
-			total += e.Delta
-		}
-		rs.balances[user] = total
-	}
-	for user, bal := range snap.Balances {
-		rs.balances[user] = bal
-	}
-	if snap.NextBuild > rs.nextBuild {
-		rs.nextBuild = snap.NextBuild
-	}
-	if snap.NextCampaign > rs.nextCampaign {
-		rs.nextCampaign = snap.NextCampaign
-	}
-	return rs
-}
-
-// apply folds one WAL record in.
-func (rs *replayState) apply(rec store.Record) {
-	switch rec.T {
-	case store.TUserAdded:
-		if rec.User != nil {
-			rs.users[rec.User.Name] = *rec.User
-		}
-	case store.TUserRemoved:
-		delete(rs.users, rec.Name)
-	case store.TJobPut:
-		if rec.Job != nil {
-			rs.jobs[rec.Job.Name] = *rec.Job
-		}
-	case store.TJobDeleted:
-		delete(rs.jobs, rec.Name)
-	case store.TNodeMonitored:
-		if rec.Node != nil {
-			n := rs.nodes[rec.Node.Name]
-			owner := rec.Node.Owner
-			if owner == "" {
-				owner = n.Owner // an owner set before (re-)monitoring sticks
-			}
-			nn := *rec.Node
-			nn.Owner = owner
-			// The monitor record carries no accrual state; keep what the
-			// snapshot (or a prior record) established.
-			nn.OwedHostingNS = n.OwedHostingNS
-			rs.nodes[nn.Name] = nn
-		}
-	case store.TNodeOwner:
-		n := rs.nodes[rec.Name]
-		n.Name = rec.Name
-		// Mirror the live path: only a genuine transfer resets accrual
-		// (its flush landed as the preceding TNodeHostingFlush record);
-		// a same-owner re-set — a daemon's -owner flag on every boot —
-		// keeps the sub-threshold remainder.
-		if n.Owner != rec.Owner {
-			n.OwedHostingNS = 0
-		}
-		n.Owner = rec.Owner
-		rs.nodes[rec.Name] = n
-	case store.TNodeDrain:
-		n := rs.nodes[rec.Name]
-		n.Name = rec.Name
-		n.Draining = rec.Draining
-		rs.nodes[rec.Name] = n
-	case store.TNodeRemoved:
-		n := rs.nodes[rec.Name]
-		n.Name = rec.Name
-		n.Removed = true
-		n.Monitored = false
-		n.Draining = false
-		n.OwedHostingNS = 0 // flushed at removal
-		rs.nodes[rec.Name] = n
-	case store.TNodeHostingFlush:
-		// The combined record: zero the node's accrual AND apply the
-		// owner's contribution credit — together or not at all.
-		n := rs.nodes[rec.Name]
-		n.Name = rec.Name
-		n.OwedHostingNS = 0
-		rs.nodes[rec.Name] = n
-		e := hostingEntry(rec.Name, time.Duration(rec.AtNS))
-		rs.ledger[rec.Owner] = append(rs.ledger[rec.Owner], store.LedgerRec{
-			User: rec.Owner, Delta: e.Delta, Reason: e.Reason,
-		})
-		rs.balances[rec.Owner] += e.Delta
-	case store.TBuildQueued:
-		if rec.Build != nil {
-			rs.builds[rec.Build.ID] = *rec.Build
-			if rec.Build.ID >= rs.nextBuild {
-				rs.nextBuild = rec.Build.ID + 1
-			}
-		}
-	case store.TBuildStarted:
-		b := rs.builds[rec.BuildID]
-		if b.ID == 0 {
-			return
-		}
-		b.State = StateRunning.String()
-		b.Node = rec.NodeName
-		b.Attempts = rec.Attempt
-		b.StartedAtNS = rec.AtNS
-		rs.builds[b.ID] = b
-	case store.TBuildCancelWant:
-		b := rs.builds[rec.BuildID]
-		if b.ID == 0 {
-			return
-		}
-		b.Canceled = true
-		rs.builds[b.ID] = b
-	case store.TBuildFailover:
-		b := rs.builds[rec.BuildID]
-		if b.ID == 0 {
-			return
-		}
-		b.State = StateQueued.String()
-		b.Retries = rec.Retries
-		rs.builds[b.ID] = b
-	case store.TBuildFinished:
-		b := rs.builds[rec.BuildID]
-		if b.ID == 0 {
-			return
-		}
-		b.State = rec.State
-		b.Err = rec.Err
-		b.Canceled = rec.Canceled
-		b.NodeLost = rec.NodeLost
-		if rec.NodeName != "" {
-			b.Node = rec.NodeName
-		}
-		if rec.Attempt > 0 {
-			b.Attempts = rec.Attempt
-		}
-		if rec.Retries > 0 {
-			b.Retries = rec.Retries
-		}
-		b.Summary = rec.Summary
-		b.FinishedAtNS = rec.AtNS
-		rs.builds[b.ID] = b
-	case store.TBuildExpired:
-		delete(rs.builds, rec.BuildID)
-	case store.TCampaign:
-		if rec.Campaign != nil {
-			rs.campaigns[rec.Campaign.ID] = *rec.Campaign
-			if rec.Campaign.ID >= rs.nextCampaign {
-				rs.nextCampaign = rec.Campaign.ID + 1
-			}
-		}
-	case store.TCampaignExpired:
-		delete(rs.campaigns, rec.CampaignID)
-	case store.TLedger:
-		if rec.Entry != nil {
-			rs.ledger[rec.Entry.User] = append(rs.ledger[rec.Entry.User], *rec.Entry)
-			rs.balances[rec.Entry.User] += rec.Entry.Delta
-		}
-	case store.TPeerJoined:
-		if rec.Peer != nil {
-			rs.peers[rec.Peer.Name] = *rec.Peer
-		}
-	case store.TPeerLeft:
-		delete(rs.peers, rec.Name)
-	}
-}
-
-// parseState inverts BuildState.String.
-func parseState(s string) (BuildState, bool) {
-	switch s {
-	case "queued":
-		return StateQueued, true
-	case "running":
-		return StateRunning, true
-	case "success":
-		return StateSuccess, true
-	case "failure":
-		return StateFailure, true
-	case "aborted":
-		return StateAborted, true
-	}
-	return 0, false
-}
-
 // AttachStore replays the store's snapshot+WAL into the server and
 // turns on write-ahead logging for every mutation from here on. It
 // must run before the server takes traffic: after the SpecBackend is
@@ -375,313 +124,43 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	}
 	s.storeMu.Unlock()
 
-	snap, recs := st.Load()
-	rs := newReplayState(snap)
-	for _, rec := range recs {
-		rs.apply(rec)
-	}
-
-	var stats RecoveryStats
-	// Records to append once the store is live: the failover/failure
-	// transitions recovery itself causes (so a second crash replays
-	// them too).
-	var pending []store.Record
-
 	if v, ok := s.clock.(*simclock.Virtual); ok {
 		release := v.Hold()
 		defer release()
 	}
-	now := s.clock.Now()
-
-	// Users and ledger first: independent of scheduler state.
-	for _, u := range rs.users {
-		s.Users.restore(u.Name, Role(u.Role), u.Token)
-		stats.Users++
-	}
-	ledgerUsers := make([]string, 0, len(rs.ledger))
-	for user := range rs.ledger {
-		ledgerUsers = append(ledgerUsers, user)
-	}
-	sort.Strings(ledgerUsers)
-	for _, user := range ledgerUsers {
-		entries := make([]LedgerEntry, len(rs.ledger[user]))
-		for i, e := range rs.ledger[user] {
-			entries[i] = LedgerEntry{Delta: e.Delta, Reason: e.Reason}
-		}
-		s.Ledger.restore(user, rs.balances[user], entries)
-		stats.Ledger += len(entries)
-	}
-
-	// Cluster membership: known peers come back by name and URL but
-	// start offline (zero last-beat) — the next announce exchange proves
-	// them alive again, and until then the scheduler will not route
-	// builds their way.
-	peerNames := make([]string, 0, len(rs.peers))
-	for name := range rs.peers {
-		peerNames = append(peerNames, name)
-	}
-	sort.Strings(peerNames)
-	for _, name := range peerNames {
-		s.cluster.Restore(name, rs.peers[name].URL)
-	}
+	snap, recs := st.Load()
 
 	s.mu.Lock()
-	backend := s.specs
-
-	// Jobs: metadata only — the closure body is gone. A job the daemon
-	// already re-created this boot (with a body) wins over its record.
-	for name, jr := range rs.jobs {
-		if _, exists := s.jobs[name]; exists {
-			continue
-		}
-		s.jobs[name] = &Job{
-			Name:  jr.Name,
-			Owner: jr.Owner,
-			constraints: Constraints{
-				Node:          jr.Node,
-				Device:        jr.Device,
-				RequireLowCPU: jr.RequireLowCPU,
-				Fallback:      jr.Fallback,
-			},
-			approved: jr.Approved,
-			revision: jr.Revision,
-		}
-		stats.Jobs++
-	}
-
-	// Node lifecycle: drain flags, tombstones, owner and the cached
-	// device list survive; monitoring re-arms on the server clock with
-	// a fresh beat (the node proves itself alive again from here).
-	// Sorted order matters: the virtual clock breaks equal-deadline
-	// ties by registration sequence, so ticker arming must not follow
-	// map iteration order or recovery would stop being deterministic.
-	nodeNames := make([]string, 0, len(rs.nodes))
-	for name := range rs.nodes {
-		nodeNames = append(nodeNames, name)
-	}
-	sort.Strings(nodeNames)
-	for _, name := range nodeNames {
-		nr := rs.nodes[name]
-		rec := s.recLocked(name)
-		rec.owner = nr.Owner
-		rec.owedHosting = time.Duration(nr.OwedHostingNS)
-		rec.draining = nr.Draining
-		rec.lastBeat = now
-		if len(rec.devices) == 0 {
-			rec.devices = append([]string(nil), nr.Devices...)
-		}
-		if nr.Removed {
-			// Tombstoned — unless the node already re-registered this
-			// boot, which ends the removal like the live path does.
-			if _, err := s.Nodes.Get(name); err != nil {
-				rec.removed = true
-				rec.monitored = false
-			}
-		}
-		if nr.Monitored && !nr.Removed && !rec.monitored {
-			rec.monitored = true
-			rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
-				s.probeNode(name)
-			})
-		}
-		stats.Nodes++
-	}
-
-	// Campaigns before builds, so member builds can find their rec.
-	for id, cr := range rs.campaigns {
-		s.campaigns[id] = &campaignRec{
-			builds:        append([]int(nil), cr.Builds...),
-			maxConcurrent: cr.MaxConcurrent,
+	// A job the daemon already re-created this boot (with a body) wins
+	// over its record, and a node it already monitors keeps its fresh
+	// device list.
+	bootJobs := s.jobs
+	s.jobs = make(map[string]*Job)
+	armed := map[string][]string{}
+	for name, rec := range s.nodeRecs {
+		if rec.monitored {
+			armed[name] = rec.devices
 		}
 	}
-
-	if rs.nextBuild > s.nextID {
-		s.nextID = rs.nextBuild
+	s.foldLocked(snap, recs)
+	var stats RecoveryStats
+	for name := range s.jobs {
+		if bootJobs[name] == nil {
+			stats.Jobs++
+		}
 	}
-	if rs.nextCampaign > s.nextCampaign {
-		s.nextCampaign = rs.nextCampaign
+	for name, j := range bootJobs {
+		s.jobs[name] = j
 	}
-
-	// Builds in ID order: submission order, deterministically.
-	ids := make([]int, 0, len(rs.builds))
-	for id := range rs.builds {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var finished []*Build // retention scheduling after the store attaches
-	for _, id := range ids {
-		br := rs.builds[id]
-		state, ok := parseState(br.State)
-		if !ok {
-			continue
-		}
-		b := &Build{
-			ID:        br.ID,
-			Job:       br.Job,
-			Owner:     br.Owner,
-			campaign:  br.Campaign,
-			wireSpec:  br.Spec,
-			recovered: true,
-			// Every recovery hands the build a fresh feed, so the epoch
-			// moves: clients' resume cursors (and feed-derived
-			// aggregates) from before the restart are void — including
-			// across a second restart, which bumps it again.
-			feedEpoch: br.FeedEpoch + 1,
-			workspace: NewWorkspace(),
-			feed:      s.hub.Create(br.ID, br.FeedEpoch+1),
-		}
-		b.queuedAt = now
-		if br.QueuedAtNS != 0 {
-			b.queuedAt = time.Unix(0, br.QueuedAtNS)
-		}
-		if br.StartedAtNS != 0 {
-			b.startedAt = time.Unix(0, br.StartedAtNS)
-		}
-		if br.FinishedAtNS != 0 {
-			b.finishedAt = time.Unix(0, br.FinishedAtNS)
-		}
-		b.nodeName = br.Node
-		b.attempt = br.Attempts
-		b.retries = br.Retries
-		b.cancelWant = br.Canceled
-		if br.Summary != nil {
-			cp := *br.Summary
-			b.summary = &cp
-		}
-		s.builds[b.ID] = b
-		stats.Builds++
-		s.m.submitted++
-
-		switch state {
-		case StateSuccess, StateFailure, StateAborted:
-			b.state = state
-			switch state {
-			case StateSuccess:
-				s.m.succeeded++
-			case StateFailure:
-				s.m.failed++
-			case StateAborted:
-				s.m.aborted++
-			}
-			if br.Err != "" {
-				var sentinels []error
-				if br.NodeLost {
-					sentinels = append(sentinels, ErrNodeLost)
-				}
-				b.err = &recoveredErr{msg: br.Err, sentinels: sentinels}
-			}
-			s.hub.Close(b.ID)
-			finished = append(finished, b)
-			continue
-		}
-
-		// A cancel was requested before the crash but the build never
-		// settled: recovery settles it as aborted — rerunning (and
-		// charging) a canceled experiment would be worse than the lost
-		// teardown.
-		if br.Canceled {
-			b.state = StateAborted
-			s.m.aborted++
-			b.finishedAt = now
-			fmt.Fprintf(&b.log, "build aborted: cancel requested before the server restart\n")
-			s.hub.Close(b.ID)
-			finished = append(finished, b)
-			pending = append(pending, finishedRecord(b))
-			continue
-		}
-
-		// Queued or running at the crash: the build must run again.
-		// Recompile spec builds through the backend; job builds resolve
-		// from the job store at dispatch (and fail fast there if the
-		// job's body did not survive).
-		var compileErr error
-		if b.wireSpec != nil {
-			if backend == nil {
-				compileErr = fmt.Errorf("%w: no spec backend installed at recovery", ErrInvalid)
-			} else if cons, run, err := backend.Compile(*b.wireSpec); err != nil {
-				compileErr = err
-			} else {
-				b.cons, b.run = cons, run
-			}
-		}
-		if compileErr != nil {
-			b.state = StateFailure
-			s.m.failed++
-			b.err = fmt.Errorf("build %d unrecoverable after restart: %w", b.ID, compileErr)
-			b.finishedAt = now
-			fmt.Fprintf(&b.log, "build failed: %v\n", b.err)
-			s.hub.Close(b.ID)
-			finished = append(finished, b)
-			stats.Failed++
-			pending = append(pending, finishedRecord(b))
-			continue
-		}
-
-		if state == StateRunning {
-			// The crash broke the lease: route through the failover
-			// contract. The interrupted attempt's work is gone, so the
-			// requeue skips the usual backoff — the restart already cost
-			// more than any backoff would.
-			reason := fmt.Sprintf("access server restarted while attempt %d ran on %q", b.attempt, b.nodeName)
-			b.feed.PostEvent(api.BuildEvent{
-				Build: b.ID,
-				Node:  b.nodeName,
-				Phase: api.EventFailover,
-				AtNS:  now.UnixNano(),
-				Error: reason,
-			})
-			if b.retries >= s.cfg.MaxRetries {
-				b.state = StateFailure
-				s.m.failed++
-				b.err = fmt.Errorf("%w: %s; retry budget (%d) spent", ErrNodeLost, reason, s.cfg.MaxRetries)
-				b.finishedAt = now
-				fmt.Fprintf(&b.log, "build lost: %s; retry budget (%d) spent\n", reason, s.cfg.MaxRetries)
-				s.hub.Close(b.ID)
-				finished = append(finished, b)
-				stats.Failed++
-				pending = append(pending, finishedRecord(b))
-				continue
-			}
-			b.retries++
-			s.m.failoverRequeues++
-			b.pendingReason = fmt.Sprintf("%s; retry %d/%d", reason, b.retries, s.cfg.MaxRetries)
-			b.schedReason = b.pendingReason // replay holds s.mu; keep the dispatch shadow in sync
-			fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d)\n", reason, b.retries, s.cfg.MaxRetries)
-			pending = append(pending, store.Record{
-				T: store.TBuildFailover, BuildID: b.ID,
-				Retries: b.retries, Reason: reason, AtNS: now.UnixNano(),
-			})
-			stats.Resumed++
-		} else {
-			stats.Requeued++
-		}
-		b.state = StateQueued
-		s.m.queued++
-		// Re-derive the per-owner in-flight census: admission fairness
-		// must survive a restart, or one owner could double their quota
-		// by crashing the server.
-		s.ownerActive[b.Owner]++
-		s.queue = append(s.queue, b)
-		b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
-	}
-
-	// Prime the read plane and the feed-plane high-water mark with the
-	// recovered world before the lock drops: ids whose records expired
-	// before the restart must resolve as expired (not unknown), and the
-	// snapshot routes must serve the recovered state from the first
-	// request rather than waiting for the next transition to publish.
-	s.hub.SetHighWater(s.nextID - 1)
-	for _, b := range s.builds {
-		s.publishBuildLocked(b)
-	}
-	for id, rec := range s.campaigns {
-		s.reads.publishCampaign(id, rec.builds)
-	}
-	if s.nextCampaign > 1 {
-		s.reads.highCamp.Store(int64(s.nextCampaign - 1))
-	}
-	s.publishNodesLocked()
+	// The transitions the restart policy causes group-commit into one
+	// WAL write once the store is live, so a second crash replays them.
+	s.beginBatchLocked()
+	s.restartLocked(&stats, armed)
+	pending := s.batch
+	s.batching, s.batch = false, nil
 	s.mu.Unlock()
+	stats.Users = len(s.Users.List())
+	stats.Ledger = s.Ledger.entries()
 
 	// Go live: install the store and the observation hooks, flush the
 	// transitions recovery itself caused, arm periodic compaction.
@@ -722,9 +201,6 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		s.syncStore()
 	})
 
-	for _, b := range finished {
-		s.scheduleRetention(b)
-	}
 	// An immediate snapshot makes state that predates the attach —
 	// bootstrap users, jobs and node registrations a daemon sets up
 	// before calling AttachStore — durable right away instead of at the
@@ -736,29 +212,189 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	return stats, nil
 }
 
-// finishedRecord builds a build's TBuildFinished record. Callers
-// either hold b.mu or own the build exclusively (recovery, before it
-// is published).
-func finishedRecord(b *Build) store.Record {
-	rec := store.Record{
-		T:        store.TBuildFinished,
-		BuildID:  b.ID,
-		State:    b.state.String(),
-		Canceled: b.cancelWant,
-		NodeName: b.nodeName,
-		Attempt:  b.attempt,
-		Retries:  b.retries,
-		AtNS:     b.finishedAt.UnixNano(),
+// foldLocked is recovery's fold step: the snapshot rows, then the WAL
+// records after them, through applyLocked with the observers off — no
+// WAL append, no status republish. Callers hold s.mu.
+func (s *Server) foldLocked(snap *store.Snapshot, recs []store.Record) {
+	if snap != nil {
+		for i := range snap.Users {
+			s.applyLocked(store.Record{T: store.TUserAdded, User: &snap.Users[i]})
+		}
+		for i := range snap.Peers {
+			s.applyLocked(store.Record{T: store.TPeerJoined, Peer: &snap.Peers[i]})
+		}
+		for i := range snap.Jobs {
+			s.applyLocked(store.Record{T: store.TJobPut, Job: &snap.Jobs[i]})
+		}
+		for i := range snap.Nodes {
+			s.applyLocked(store.Record{T: store.TNodeMonitored, Node: &snap.Nodes[i]})
+		}
+		// Campaigns before builds, so running members find their rec.
+		for i := range snap.Campaigns {
+			s.applyLocked(store.Record{T: store.TCampaign, Campaign: &snap.Campaigns[i]})
+		}
+		for i := range snap.Builds {
+			s.applyLocked(store.Record{T: store.TBuildQueued, Build: &snap.Builds[i]})
+		}
+		for user, entries := range snap.Ledger {
+			history := make([]LedgerEntry, len(entries))
+			balance := 0.0
+			for i, e := range entries {
+				history[i] = LedgerEntry{Delta: e.Delta, Reason: e.Reason}
+				balance += e.Delta
+			}
+			// Snapshots predating the Balances field: the sum of the
+			// (then-unbounded) history is the balance.
+			if bal, ok := snap.Balances[user]; ok {
+				balance = bal
+			}
+			s.Ledger.restore(user, balance, history)
+		}
+		s.nextID = max(s.nextID, snap.NextBuild)
+		s.nextCampaign = max(s.nextCampaign, snap.NextCampaign)
 	}
-	if b.err != nil {
-		rec.Err = b.err.Error()
-		rec.NodeLost = errors.Is(b.err, ErrNodeLost)
+	for _, rec := range recs {
+		s.applyLocked(rec)
 	}
-	if b.summary != nil {
-		cp := *b.summary
-		rec.Summary = &cp
+}
+
+// restartLocked is recovery's policy step over the folded state: nodes
+// re-arm monitoring, every build gets a fresh feed epoch, and builds the
+// crash interrupted settle or re-enqueue. armed lists the nodes the
+// daemon monitored before the attach, with their fresh device lists.
+// Callers hold s.mu, inside a group commit.
+func (s *Server) restartLocked(stats *RecoveryStats, armed map[string][]string) {
+	now := s.clock.Now()
+	// Sorted order matters: the virtual clock breaks equal-deadline
+	// ties by registration sequence, so ticker arming must not follow
+	// map iteration order or recovery would stop being deterministic.
+	nodeNames := make([]string, 0, len(s.nodeRecs))
+	for name := range s.nodeRecs {
+		nodeNames = append(nodeNames, name)
 	}
-	return rec
+	sort.Strings(nodeNames)
+	for _, name := range nodeNames {
+		rec := s.nodeRecs[name]
+		rec.lastBeat = now // the node proves itself alive again from here
+		if devices, ok := armed[name]; ok {
+			rec.monitored, rec.removed, rec.devices = true, false, devices
+			continue
+		}
+		if _, err := s.Nodes.Get(name); err == nil {
+			rec.removed = false // re-registered this boot: the removal is over
+		}
+		if rec.monitored && !rec.removed && rec.ticker == nil {
+			rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
+				s.probeNode(name)
+			})
+		}
+	}
+	stats.Nodes = len(nodeNames)
+
+	ids := make([]int, 0, len(s.builds))
+	for id := range s.builds {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	stats.Builds = len(ids)
+	for _, id := range ids {
+		b := s.builds[id]
+		b.recovered = true
+		// Every recovery hands the build a fresh feed, so the epoch
+		// moves: clients' resume cursors (and feed-derived aggregates)
+		// from before the restart are void — including across a second
+		// restart, which bumps it again.
+		b.feedEpoch++
+		b.feed = s.hub.Create(b.ID, b.feedEpoch)
+		if b.queuedAt.IsZero() {
+			b.queuedAt = now
+		}
+		if !b.state.active() {
+			s.hub.Close(b.ID)
+			s.scheduleRetention(b)
+			continue
+		}
+		// A cancel was requested before the crash but the build never
+		// settled: it settles as aborted — rerunning (and charging) a
+		// canceled experiment would be worse than the lost teardown.
+		if b.cancelWant {
+			s.settleLocked(b, StateAborted, nil, "build aborted: cancel requested before the server restart")
+			continue
+		}
+		// Queued or running at the crash: the build must run again.
+		// Recompile spec builds through the backend; job builds resolve
+		// from the job store at dispatch (and fail fast there if the
+		// job's body did not survive).
+		if err := s.recompileLocked(b); err != nil {
+			err = fmt.Errorf("build %d unrecoverable after restart: %w", b.ID, err)
+			s.settleLocked(b, StateFailure, err, "build failed: "+err.Error())
+			stats.Failed++
+			continue
+		}
+		if b.state == StateRunning {
+			// The crash broke the lease: route through the failover
+			// contract. The interrupted attempt's work is gone, so the
+			// requeue skips the usual backoff — the restart already cost
+			// more than any backoff would.
+			reason := fmt.Sprintf("access server restarted while attempt %d ran on %q", b.attempt, b.nodeName)
+			b.feed.PostEvent(api.BuildEvent{
+				Build: b.ID,
+				Node:  b.nodeName,
+				Phase: api.EventFailover,
+				AtNS:  now.UnixNano(),
+				Error: reason,
+			})
+			if b.retries >= s.cfg.MaxRetries {
+				s.settleLocked(b, StateFailure,
+					fmt.Errorf("%w: %s; retry budget (%d) spent", ErrNodeLost, reason, s.cfg.MaxRetries),
+					fmt.Sprintf("build lost: %s; retry budget (%d) spent", reason, s.cfg.MaxRetries))
+				stats.Failed++
+				continue
+			}
+			retries := b.retries + 1
+			s.m.failoverRequeues++
+			b.pendingReason = fmt.Sprintf("%s; retry %d/%d", reason, retries, s.cfg.MaxRetries)
+			b.schedReason = b.pendingReason // s.mu held; keep the dispatch shadow in sync
+			fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d)\n", reason, retries, s.cfg.MaxRetries)
+			s.commitLocked(store.Record{T: store.TBuildFailover, BuildID: b.ID,
+				Retries: retries, Reason: reason, AtNS: now.UnixNano()})
+			stats.Resumed++
+		} else {
+			stats.Requeued++
+		}
+		s.queue = append(s.queue, b)
+		b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
+	}
+
+	// Prime the read plane and the feed-plane high-water mark with the
+	// recovered world before the lock drops: ids whose records expired
+	// before the restart must resolve as expired (not unknown), and the
+	// snapshot routes must serve the recovered state from the first
+	// request rather than waiting for the next transition to publish.
+	s.hub.SetHighWater(s.nextID - 1)
+	for _, b := range s.builds {
+		s.publishBuildLocked(b)
+	}
+	if s.nextCampaign > 1 {
+		s.reads.highCamp.Store(int64(s.nextCampaign - 1))
+	}
+}
+
+// recompileLocked reinstalls a recovered spec build's pipeline through
+// the SpecBackend. Callers hold s.mu.
+func (s *Server) recompileLocked(b *Build) error {
+	if b.wireSpec == nil {
+		return nil
+	}
+	if s.specs == nil {
+		return fmt.Errorf("%w: no spec backend installed at recovery", ErrInvalid)
+	}
+	cons, run, err := s.specs.Compile(*b.wireSpec)
+	if err != nil {
+		return err
+	}
+	b.cons, b.run = cons, run
+	return nil
 }
 
 // syncStore flushes the WAL to stable storage (the group-commit
@@ -925,16 +561,7 @@ func (s *Server) buildSnapshotLocked() *store.Snapshot {
 	for _, n := range jobNames {
 		j := s.jobs[n]
 		j.mu.Lock()
-		snap.Jobs = append(snap.Jobs, store.JobRec{
-			Name:          j.Name,
-			Owner:         j.Owner,
-			Node:          j.constraints.Node,
-			Device:        j.constraints.Device,
-			RequireLowCPU: j.constraints.RequireLowCPU,
-			Fallback:      j.constraints.Fallback,
-			Approved:      j.approved,
-			Revision:      j.revision,
-		})
+		snap.Jobs = append(snap.Jobs, *jobPut(j.Name, j.Owner, j.constraints, j.approved, j.revision).Job)
 		j.mu.Unlock()
 	}
 
@@ -964,38 +591,8 @@ func (s *Server) buildSnapshotLocked() *store.Snapshot {
 	for _, id := range ids {
 		b := s.builds[id]
 		b.mu.Lock()
-		br := store.BuildRec{
-			ID:       b.ID,
-			Job:      b.Job,
-			Owner:    b.Owner,
-			Campaign: b.campaign,
-			Spec:     b.wireSpec,
-			State:    b.state.String(),
-			Canceled: b.cancelWant,
-			Node:     b.nodeName,
-			Attempts: b.attempt,
-			Retries:  b.retries,
-		}
-		if !b.queuedAt.IsZero() {
-			br.QueuedAtNS = b.queuedAt.UnixNano()
-		}
-		if !b.startedAt.IsZero() {
-			br.StartedAtNS = b.startedAt.UnixNano()
-		}
-		if !b.finishedAt.IsZero() {
-			br.FinishedAtNS = b.finishedAt.UnixNano()
-		}
-		if b.err != nil {
-			br.Err = b.err.Error()
-			br.NodeLost = errors.Is(b.err, ErrNodeLost)
-		}
-		if b.summary != nil {
-			cp := *b.summary
-			br.Summary = &cp
-		}
-		br.FeedEpoch = b.feedEpoch
+		snap.Builds = append(snap.Builds, buildRecord(b))
 		b.mu.Unlock()
-		snap.Builds = append(snap.Builds, br)
 	}
 
 	cids := make([]int, 0, len(s.campaigns))

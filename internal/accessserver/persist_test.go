@@ -1,6 +1,7 @@
 package accessserver
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -285,6 +286,70 @@ func TestRecoverBuilds(t *testing.T) {
 		if b.State() != StateSuccess {
 			t.Fatalf("post-restart build %d state = %v (%v)", i, b.State(), b.Err())
 		}
+	}
+}
+
+// TestRecoverRoutedBuildProvenance: a build a federation peer ran keeps
+// its provenance across a restart — routed_via and the placement score
+// are in its records, so the finished build's wire status comes back
+// byte-identical (modulo the explicit recovery markers).
+func TestRecoverRoutedBuildProvenance(t *testing.T) {
+	dir := t.TempDir()
+	boot := func(clk *simclock.Virtual) (*Server, *store.Store) {
+		srv := New(clk, Config{})
+		srv.ConfigureCluster("lab-a", "http://lab-a:9090", testClusterToken)
+		srv.SetSpecBackend(stubBackend{})
+		srv.SetPeerRelay(func(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, sink PeerSink) (*api.BuildStatus, error) {
+			return &api.BuildStatus{ID: 7, State: "success", Summary: &api.RunSummary{Samples: 3, MeanMA: 99.5}}, nil
+		})
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.AttachStore(st); err != nil {
+			t.Fatal(err)
+		}
+		return srv, st
+	}
+	srv, st := boot(simclock.NewVirtual())
+	admin, _ := srv.Users.Add("alice", RoleAdmin)
+	if w := announceJSON(t, srv.Handler(), testClusterToken, api.PeerAnnounce{
+		Name: "lab-b", URL: "http://lab-b:9090",
+		Nodes: []api.PeerNode{{Name: "node9", Health: "online"}},
+	}); w.Code != http.StatusOK {
+		t.Fatalf("announce: HTTP %d", w.Code)
+	}
+	b, err := srv.SubmitSpec(admin, testSpec("node9", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The relay settles the build from its own goroutine.
+	for deadline := time.Now().Add(10 * time.Second); b.State() != StateSuccess; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("routed build state = %v, want success", b.State())
+		}
+	}
+	pre := buildStatus(b)
+	if pre.RoutedVia != "lab-b" || pre.PlacementScore == 0 {
+		t.Fatalf("routed build status = %+v, want routed via lab-b with a placement score", pre)
+	}
+	st.Close()
+
+	srv2, st2 := boot(simclock.NewVirtual())
+	defer st2.Close()
+	rb, err := srv2.Build(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := buildStatus(rb)
+	if !post.Recovered || post.FeedEpoch != 1 {
+		t.Fatalf("recovered status = %+v, want recovered with feed_epoch 1", post)
+	}
+	post.Recovered, post.FeedEpoch = false, 0
+	preJSON, _ := json.Marshal(pre)
+	postJSON, _ := json.Marshal(post)
+	if string(preJSON) != string(postJSON) {
+		t.Fatalf("routed build status changed across restart:\n pre %s\npost %s", preJSON, postJSON)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
@@ -125,6 +126,9 @@ type Users struct {
 	// hook observes membership changes (the WAL append when a store is
 	// attached). Called under u.mu; it must not re-enter the store.
 	hook func(u User, removed bool)
+	// tokens is the token entropy source (nil = crypto/rand); tests
+	// seed it to make WAL bytes reproducible.
+	tokens io.Reader
 }
 
 // setHook installs the membership observer. Entries installed via
@@ -163,7 +167,11 @@ func (u *Users) Add(name string, role Role) (*User, error) {
 		return nil, fmt.Errorf("accessserver: user %q exists", name)
 	}
 	tok := make([]byte, 16)
-	if _, err := rand.Read(tok); err != nil {
+	src := u.tokens
+	if src == nil {
+		src = rand.Reader
+	}
+	if _, err := io.ReadFull(src, tok); err != nil {
 		return nil, err
 	}
 	user := &User{Name: name, Role: role, Token: hex.EncodeToString(tok)}

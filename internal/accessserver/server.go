@@ -24,14 +24,29 @@ import (
 // pollers drive the read plane without a single scheduler-lock
 // acquisition. The atomic add costs nanoseconds next to the critical
 // sections the lock guards.
+//
+// The lock also owns node-census publication: transitions only mark
+// the census dirty, and Unlock republishes it once before releasing, so
+// one critical section publishes at most once however many transitions
+// it commits, and no reader sees a section's state without its census.
 type schedMutex struct {
 	sync.Mutex
-	acquisitions atomic.Int64
+	acquisitions  atomic.Int64
+	censusDirty   bool
+	publishCensus func()
 }
 
 func (m *schedMutex) Lock() {
 	m.Mutex.Lock()
 	m.acquisitions.Add(1)
+}
+
+func (m *schedMutex) Unlock() {
+	if m.censusDirty {
+		m.censusDirty = false
+		m.publishCensus()
+	}
+	m.Mutex.Unlock()
 }
 
 // Config tunes the access server.
@@ -227,12 +242,11 @@ type Server struct {
 	// by the hot GET routes lock-free (see snapshot.go).
 	reads *readPlane
 
-	mu      schedMutex
-	jobs    map[string]*Job
-	builds  map[int]*Build
-	queue   []*Build
-	running int
-	nextID  int
+	mu     schedMutex
+	jobs   map[string]*Job
+	builds map[int]*Build
+	queue  []*Build
+	nextID int
 	// locks: "node/device" and "node" keys held by running builds.
 	locks map[string]int // key -> build ID
 	crons []*cronEntry
@@ -252,10 +266,17 @@ type Server struct {
 	// ownerActive counts each owner's builds in non-terminal states
 	// (the OwnerInFlightCap admission input); ownerRunning counts each
 	// owner's builds holding executors (the OwnerRunCap fair-share
-	// input). Both maintained under s.mu at the same transitions as
-	// the metrics counters.
+	// input). Both change only in setStateLocked, with the metrics
+	// counters.
 	ownerActive  map[string]int
 	ownerRunning map[string]int
+	// batching/batch hold a group commit's records until
+	// flushBatchLocked appends them (see transition.go). onCommit, when
+	// set, observes every commit boundary — the crash-anywhere test's
+	// capture point.
+	batching bool
+	batch    []store.Record
+	onCommit func()
 
 	specs        SpecBackend
 	campaigns    map[int]*campaignRec
@@ -337,6 +358,7 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		ownerRunning: make(map[string]int),
 	}
 	s.placer = s.cfg.Placer
+	s.mu.publishCensus = s.publishNodesLocked
 	s.creditsOn.Store(s.cfg.EnforceCredits)
 	s.analyticsCache = analytics.NewCache(s.cfg.AnalyticsCacheBytes)
 	s.m = newServerMetrics(s)
@@ -404,12 +426,23 @@ func (s *Server) CreateJob(user *User, name string, cons Constraints, run RunFun
 	if _, dup := s.jobs[name]; dup {
 		return nil, fmt.Errorf("%w: job %q exists", ErrConflict, name)
 	}
-	j := &Job{Name: name, Owner: user.Name, constraints: cons, run: run, revision: 1}
 	// Admins' own pipelines are implicitly approved.
-	j.approved = user.Role == RoleAdmin
-	s.jobs[name] = j
-	s.logJob(j)
+	s.commitLocked(jobPut(name, user.Name, cons, user.Role == RoleAdmin, 1))
+	j := s.jobs[name]
+	j.mu.Lock()
+	j.run = run
+	j.mu.Unlock()
 	return j, nil
+}
+
+// jobPut is the record that creates, edits or approves a job: all three
+// upsert the job's metadata (the pipeline body never persists).
+func jobPut(name, owner string, cons Constraints, approved bool, revision int) store.Record {
+	return store.Record{T: store.TJobPut, Job: &store.JobRec{
+		Name: name, Owner: owner, Node: cons.Node, Device: cons.Device,
+		RequireLowCPU: cons.RequireLowCPU, Fallback: cons.Fallback,
+		Approved: approved, Revision: revision,
+	}}
 }
 
 // EditJob replaces a job's pipeline; the revision needs fresh approval
@@ -419,22 +452,20 @@ func (s *Server) EditJob(user *User, name string, cons Constraints, run RunFunc)
 	if !Allowed(user.Role, PermEditJob) {
 		return fmt.Errorf("%w: %s (%s) may not edit jobs", ErrForbidden, user.Name, user.Role)
 	}
-	j, err := s.Job(name)
-	if err != nil {
-		return err
-	}
 	// s.mu spans the mutation and its WAL append: job writers must use
 	// the same lock order as snapshot compaction, or the record could
 	// fall between a snapshot read and the log truncation.
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, err := s.jobLocked(name)
+	if err != nil {
+		return err
+	}
 	j.mu.Lock()
-	j.constraints = cons
 	j.run = run
-	j.revision++
-	j.approved = user.Role == RoleAdmin
+	revision := j.revision + 1
 	j.mu.Unlock()
-	s.logJob(j)
-	s.mu.Unlock()
+	s.commitLocked(jobPut(name, j.Owner, cons, user.Role == RoleAdmin, revision))
 	return nil
 }
 
@@ -443,16 +474,16 @@ func (s *Server) ApproveJob(user *User, name string) error {
 	if !Allowed(user.Role, PermApprovePipeline) {
 		return fmt.Errorf("%w: %s (%s) may not approve pipelines", ErrForbidden, user.Name, user.Role)
 	}
-	j, err := s.Job(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, err := s.jobLocked(name)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
 	j.mu.Lock()
-	j.approved = true
+	cons, revision := j.constraints, j.revision
 	j.mu.Unlock()
-	s.logJob(j)
-	s.mu.Unlock()
+	s.commitLocked(jobPut(name, j.Owner, cons, true, revision))
 	return nil
 }
 
@@ -472,8 +503,7 @@ func (s *Server) DeleteJob(user *User, name string) error {
 		return fmt.Errorf("%w: job %q belongs to %s", ErrForbidden, name, j.Owner)
 	}
 	s.mu.Lock()
-	delete(s.jobs, name)
-	s.logStore(store.Record{T: store.TJobDeleted, Name: name})
+	s.commitLocked(store.Record{T: store.TJobDeleted, Name: name})
 	kept := s.queue[:0]
 	for _, b := range s.queue {
 		if b.run == nil && b.Job == name {
@@ -483,7 +513,6 @@ func (s *Server) DeleteJob(user *User, name string) error {
 		kept = append(kept, b)
 	}
 	s.queue = kept
-	s.publishNodesLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -492,6 +521,11 @@ func (s *Server) DeleteJob(user *User, name string) error {
 func (s *Server) Job(name string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.jobLocked(name)
+}
+
+// jobLocked resolves a job by name. Callers hold s.mu.
+func (s *Server) jobLocked(name string) (*Job, error) {
 	j, ok := s.jobs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: no job %q", ErrNotFound, name)
@@ -535,7 +569,7 @@ func (s *Server) Submit(user *User, jobName string) (*Build, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	b := s.enqueueLocked(user.Name, jobName, 0, Constraints{}, nil, nil, nil)
+	b := s.enqueueLocked(user.Name, jobName, 0, Constraints{}, nil, nil)
 	s.mu.Unlock()
 	s.dispatch()
 	return b, nil
@@ -576,64 +610,22 @@ func (s *Server) admitLocked(user *User, n int) error {
 	return nil
 }
 
-// ownerSettledLocked records one of owner's builds leaving the
-// non-terminal states. Callers hold s.mu.
-func (s *Server) ownerSettledLocked(owner string) {
-	if s.ownerActive[owner]--; s.ownerActive[owner] <= 0 {
-		delete(s.ownerActive, owner)
-	}
-}
-
-// ownerRunDoneLocked records one of owner's running builds leaving the
-// executor (finish or failover reclaim). Callers hold s.mu.
-func (s *Server) ownerRunDoneLocked(owner string) {
-	if s.ownerRunning[owner]--; s.ownerRunning[owner] <= 0 {
-		delete(s.ownerRunning, owner)
-	}
-}
-
-// enqueueLocked creates a build and appends it to the queue. run is nil
-// for job builds (the pipeline is looked up at dispatch time) and set
-// for spec builds, which carry their own constraints and body plus the
-// wire spec the store needs for crash recovery. Every build gets an
-// aging timer: if it is still queued after PendingTimeout and its node
-// never appeared (or has gone offline), it fails with a reason instead
-// of pending forever. Callers hold s.mu.
-//
-// walBatch controls durability batching: nil logs the TBuildQueued
-// record immediately; non-nil collects it for the caller to flush as
-// one group commit (SubmitCampaign batches N builds + the campaign
-// record into a single WAL write).
-func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constraints, run RunFunc, spec *api.ExperimentSpec, walBatch *[]store.Record) *Build {
-	b := &Build{
-		ID:        s.nextID,
-		Job:       jobName,
-		Owner:     owner,
-		campaign:  campaign,
-		cons:      cons,
-		run:       run,
-		wireSpec:  spec,
-		queuedAt:  s.clock.Now(),
-		workspace: NewWorkspace(),
-		feed:      s.hub.Create(s.nextID, 0),
-	}
-	s.nextID++
-	s.builds[b.ID] = b
+// enqueueLocked queues a build: its TBuildQueued record creates it,
+// and the live half is attached here — the compiled pipeline, the queue
+// slot and an aging timer (a build still queued after PendingTimeout
+// whose node never appeared, or has gone offline, fails with a reason
+// instead of pending forever). run is nil for job builds (the pipeline
+// is looked up at dispatch time) and set for spec builds, which carry
+// their own constraints and body plus the wire spec the store needs for
+// crash recovery. Callers hold s.mu.
+func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constraints, run RunFunc, spec *api.ExperimentSpec) *Build {
+	b := s.commitLocked(store.Record{T: store.TBuildQueued, Build: &store.BuildRec{
+		ID: s.nextID, Job: jobName, Owner: owner, Campaign: campaign,
+		Spec: spec, State: StateQueued.String(), QueuedAtNS: s.clock.Now().UnixNano(),
+	}})
+	b.cons, b.run = cons, run
 	s.queue = append(s.queue, b)
-	s.m.submitted++
-	s.m.queued++
-	s.ownerActive[owner]++
 	b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
-	rec := store.Record{T: store.TBuildQueued, Build: &store.BuildRec{
-		ID: b.ID, Job: b.Job, Owner: b.Owner, Campaign: b.campaign,
-		Spec: b.wireSpec, State: StateQueued.String(), QueuedAtNS: b.queuedAt.UnixNano(),
-	}}
-	if walBatch != nil {
-		*walBatch = append(*walBatch, rec)
-	} else {
-		s.logStore(rec)
-	}
-	s.publishBuildLocked(b)
 	return b
 }
 
@@ -670,7 +662,7 @@ func (s *Server) SubmitSpec(user *User, spec api.ExperimentSpec) (*Build, error)
 		s.mu.Unlock()
 		return nil, err
 	}
-	b := s.enqueueLocked(user.Name, specJobName(spec), 0, cons, run, &spec, nil)
+	b := s.enqueueLocked(user.Name, specJobName(spec), 0, cons, run, &spec)
 	s.mu.Unlock()
 	s.dispatch()
 	return b, nil
@@ -724,25 +716,21 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 		return 0, nil, err
 	}
 	id := s.nextCampaign
-	s.nextCampaign++
 	s.m.campaigns++
-	rec := &campaignRec{maxConcurrent: cs.MaxConcurrent}
-	s.campaigns[id] = rec
 	builds := make([]*Build, len(pipelines))
+	ids := make([]int, len(pipelines))
 	// One logical mutation, one WAL write: the member TBuildQueued
 	// records and the campaign record group-commit together.
-	walBatch := make([]store.Record, 0, len(pipelines)+1)
+	s.beginBatchLocked()
 	for i, p := range pipelines {
 		spec := cs.Experiments[i]
-		builds[i] = s.enqueueLocked(user.Name, p.name, id, p.cons, p.run, &spec, &walBatch)
-		rec.builds = append(rec.builds, builds[i].ID)
+		builds[i] = s.enqueueLocked(user.Name, p.name, id, p.cons, p.run, &spec)
+		ids[i] = builds[i].ID
 	}
-	walBatch = append(walBatch, store.Record{T: store.TCampaign, Campaign: &store.CampaignRec{
-		ID: id, MaxConcurrent: rec.maxConcurrent, Builds: append([]int(nil), rec.builds...),
+	s.commitLocked(store.Record{T: store.TCampaign, Campaign: &store.CampaignRec{
+		ID: id, MaxConcurrent: cs.MaxConcurrent, Builds: ids,
 	}})
-	s.logStoreBatch(walBatch)
-	s.reads.publishCampaign(id, rec.builds)
-	s.publishNodesLocked()
+	s.flushBatchLocked()
 	s.mu.Unlock()
 	s.dispatch()
 	return id, builds, nil
@@ -801,28 +789,12 @@ func (s *Server) Abort(user *User, id int) error {
 	}
 	if queuedAt >= 0 {
 		s.queue = append(s.queue[:queuedAt], s.queue[queuedAt+1:]...)
-		s.m.queued--
-		s.m.aborted++
-		s.ownerSettledLocked(b.Owner)
 		// Settle the aborted build while still holding s.mu: the WAL
-		// append below must be serialized against snapshot compaction
-		// (which cuts the log under s.mu), or the abort record could
-		// fall between a snapshot that read "queued" and the truncation.
-		b.mu.Lock()
-		b.state = StateAborted
-		b.cancelWant = true
-		b.finishedAt = s.clock.Now()
-		b.stopTimersLocked()
-		fmt.Fprintf(&b.log, "build aborted while queued\n")
-		s.logBuildFinishedLocked(b)
-		b.mu.Unlock()
-		// The hub's lock is a leaf: closing the feed under s.mu is legal
-		// and keeps close-before-publish ordering trivially right.
-		s.hub.Close(b.ID)
-		s.publishBuildLocked(b)
-		s.publishNodesLocked()
+		// append must be serialized against snapshot compaction (which
+		// cuts the log under s.mu), or the abort record could fall
+		// between a snapshot that read "queued" and the truncation.
+		s.settleLocked(b, StateAborted, nil, "build aborted while queued")
 		s.mu.Unlock()
-		s.scheduleRetention(b)
 		return nil
 	}
 	// Still under the s.mu from the queue scan: every state transition
@@ -841,11 +813,14 @@ func (s *Server) Abort(user *User, id int) error {
 		// aborted instead of rerunning a canceled experiment; the hook
 		// itself runs outside the locks (it tears down a session, which
 		// may re-enter the server through the build's done callback).
+		// The flag is also set here, in the same b.mu section that reads
+		// the hook, so a pipeline registering its hook concurrently
+		// (OnCancel) sees either the flag or its hook taken — never
+		// neither.
 		b.cancelWant = true
 		fn := b.canceler
-		s.logStore(store.Record{T: store.TBuildCancelWant, BuildID: b.ID})
 		b.mu.Unlock()
-		s.publishBuildLocked(b) // the served status carries Canceled now
+		s.commitLocked(store.Record{T: store.TBuildCancelWant, BuildID: b.ID})
 		s.mu.Unlock()
 		if fn != nil {
 			fn()
@@ -891,7 +866,7 @@ func (s *Server) QueueLength() int {
 func (s *Server) Running() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.running
+	return int(s.m.running)
 }
 
 // pipelineLocked resolves a build's effective constraints and body:
@@ -1081,7 +1056,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 	w := -1
 	for i := 0; i < len(s.queue); i++ {
 		cand := s.queue[i]
-		if s.running >= s.cfg.Executors {
+		if int(s.m.running) >= s.cfg.Executors {
 			// Saturated: nothing below can dispatch, and saturation is
 			// the one condition that applies to every remaining build
 			// identically — label the whole tail without evaluating
@@ -1171,35 +1146,16 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		for _, k := range keys {
 			s.locks[k] = cand.ID
 		}
-		s.running++
-		s.m.queued--
-		s.m.running++
 		s.m.dispatched++
 		s.m.dispatchLatency.Observe(now.Sub(cand.queuedAt).Seconds())
-		if rec := s.campaigns[cand.campaign]; rec != nil {
-			rec.running++
-		}
-		if pl.peer == "" {
-			// Remote placements skip the per-node bookkeeping: nodeRecs
-			// describes nodes attached to this server, and a peer's node
-			// must never leak into the local census.
-			s.recLocked(pl.nodeName).running++
-		} else {
+		if pl.peer != "" {
 			s.m.clusterRouted++
 			run = s.relayRun(cand, pl)
 		}
-		s.ownerRunning[cand.Owner]++
 		cand.schedReason = ""
 
 		cand.mu.Lock()
-		cand.state = StateRunning
-		cand.startedAt = now
-		cand.attempt++
-		cand.nodeName = pl.nodeName
-		cand.routedVia = pl.peer
-		cand.pendingReason = ""
 		cand.heldLocks = keys
-		cand.placementScore = pl.score
 		// The enqueue-time aging timer is done: left armed, it would
 		// outlive a failover and fail the requeued build against the
 		// original deadline instead of the re-armed one.
@@ -1207,7 +1163,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			cand.agingTimer.Stop()
 			cand.agingTimer = nil
 		}
-		attempt := cand.attempt
+		attempt := cand.attempt + 1
 		switch {
 		case pl.peer != "":
 			// A routed build's lease is the peer's heartbeat: the relay
@@ -1223,9 +1179,11 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			})
 		}
 		cand.mu.Unlock()
-		s.logStore(store.Record{T: store.TBuildStarted, BuildID: cand.ID,
-			NodeName: pl.nodeName, Attempt: attempt, AtNS: now.UnixNano()})
-		s.publishBuildLocked(cand)
+		// Remote placements carry their peer: the node census describes
+		// nodes attached to this server, and a peer's node never leaks
+		// into it.
+		s.commitLocked(store.Record{T: store.TBuildStarted, BuildID: cand.ID, NodeName: pl.nodeName,
+			Attempt: attempt, AtNS: now.UnixNano(), RoutedVia: pl.peer, Score: pl.score})
 
 		picks = append(picks, &pick{b: cand, run: run, node: pl.node,
 			nodeName: pl.nodeName, device: pl.device, locks: keys})
@@ -1238,7 +1196,10 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		}
 		s.queue = s.queue[:w]
 	}
-	s.publishNodesLocked()
+	// Republish the census even after a pass that committed nothing:
+	// registry membership (a node registered without monitoring, then
+	// kicked) changes without a transition.
+	s.mu.censusDirty = true
 	return picks, probes
 }
 
@@ -1561,18 +1522,9 @@ func (s *Server) failoverLocked(b *Build, reason string) (cancel func()) {
 		delete(s.locks, k)
 	}
 	b.heldLocks = nil
-	s.running--
 	s.m.leaseBreaks++
-	s.m.running--
-	if rec := s.campaigns[b.campaign]; rec != nil {
-		rec.running--
-	}
-	s.ownerRunDoneLocked(b.Owner)
 	b.mu.Lock()
 	if rec := s.nodeRecs[b.nodeName]; rec != nil {
-		if rec.running > 0 {
-			rec.running--
-		}
 		// Reliability telemetry: the node lost a leased build. The
 		// placer penalizes it on every future fallback decision.
 		rec.failovers++
@@ -1597,47 +1549,35 @@ func (s *Server) failoverLocked(b *Build, reason string) (cancel func()) {
 	})
 
 	if b.retries >= s.cfg.MaxRetries {
-		fmt.Fprintf(&b.log, "build lost: %s; retry budget (%d) spent\n", reason, s.cfg.MaxRetries)
-		b.state = StateFailure
-		s.m.failed++
-		s.ownerSettledLocked(b.Owner)
+		var err error
 		if b.routedVia != "" {
 			// A routed build lost with its peer is both families at once:
 			// ErrPeerLost for callers that care about federation, and
 			// ErrNodeLost so the wire's node_lost flag (and every existing
 			// failover consumer) keeps working.
-			b.err = markedErr(
+			err = markedErr(
 				fmt.Sprintf("%s: %s after %d retries", ErrNodeLost.Error(), reason, b.retries),
 				ErrNodeLost, ErrPeerLost)
 		} else {
-			b.err = fmt.Errorf("%w: %s after %d retries", ErrNodeLost, reason, b.retries)
+			err = fmt.Errorf("%w: %s after %d retries", ErrNodeLost, reason, b.retries)
 		}
-		b.finishedAt = now
-		b.stopTimersLocked()
-		s.logBuildFinishedLocked(b)
 		b.mu.Unlock()
-		s.hub.Close(b.ID) // leaf lock: legal under s.mu
-		s.publishBuildLocked(b)
-		s.publishNodesLocked()
-		s.scheduleRetention(b)
+		s.settleLocked(b, StateFailure, err,
+			fmt.Sprintf("build lost: %s; retry budget (%d) spent", reason, s.cfg.MaxRetries))
 		return cancel
 	}
 
-	b.retries++
+	retries := b.retries + 1
 	s.m.failoverRequeues++
-	s.m.queued++
-	backoff := s.cfg.RetryBackoff << (b.retries - 1)
-	b.state = StateQueued
-	b.pendingReason = fmt.Sprintf("%s; retry %d/%d in %s", reason, b.retries, s.cfg.MaxRetries, backoff)
+	backoff := s.cfg.RetryBackoff << (retries - 1)
+	b.pendingReason = fmt.Sprintf("%s; retry %d/%d in %s", reason, retries, s.cfg.MaxRetries, backoff)
 	b.schedReason = b.pendingReason // s.mu held; keep the dispatch shadow in sync
 	attempt := b.attempt
-	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d in %s)\n", reason, b.retries, s.cfg.MaxRetries, backoff)
+	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d in %s)\n", reason, retries, s.cfg.MaxRetries, backoff)
 	b.retryTimer = s.clock.AfterFunc(backoff, func() { s.requeue(b, attempt) })
-	s.logStore(store.Record{T: store.TBuildFailover, BuildID: b.ID,
-		Retries: b.retries, Reason: reason, AtNS: now.UnixNano()})
 	b.mu.Unlock()
-	s.publishBuildLocked(b)
-	s.publishNodesLocked()
+	s.commitLocked(store.Record{T: store.TBuildFailover, BuildID: b.ID,
+		Retries: retries, Reason: reason, AtNS: now.UnixNano()})
 	return cancel
 }
 
@@ -1654,19 +1594,9 @@ func (s *Server) requeue(b *Build, attempt int) {
 	}
 	b.retryTimer = nil
 	if b.cancelWant {
-		b.state = StateAborted
-		s.m.queued--
-		s.m.aborted++
-		s.ownerSettledLocked(b.Owner)
-		b.finishedAt = s.clock.Now()
-		b.stopTimersLocked()
-		fmt.Fprintf(&b.log, "build aborted during failover backoff\n")
-		s.logBuildFinishedLocked(b)
 		b.mu.Unlock()
-		s.hub.Close(b.ID)
-		s.publishBuildLocked(b)
+		s.settleLocked(b, StateAborted, nil, "build aborted during failover backoff")
 		s.mu.Unlock()
-		s.scheduleRetention(b)
 		return
 	}
 	// Back in the queue: re-arm aging so a node that never returns
@@ -1674,8 +1604,7 @@ func (s *Server) requeue(b *Build, attempt int) {
 	b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
 	b.mu.Unlock()
 	s.queue = append(s.queue, b)
-	s.publishBuildLocked(b)
-	s.publishNodesLocked()
+	s.mu.censusDirty = true // the node's queued count moved
 	s.mu.Unlock()
 	s.dispatch()
 }
@@ -1771,31 +1700,13 @@ func (s *Server) checkAging(b *Build) {
 	}
 	s.terminateLocked(b, fmt.Errorf("%w: build %d waited %s: %s",
 		ErrNodeLost, b.ID, s.cfg.PendingTimeout, reason))
-	s.publishNodesLocked()
 	s.mu.Unlock()
 }
 
-// terminateLocked marks a never-dispatched build failed, closes its
-// feed through the hub and republishes its served status. Callers hold
-// s.mu (but not b.mu). The old contract — "close the feed after
-// releasing s.mu" — is gone: the hub's lock is a leaf, so closing
-// under the scheduler lock is safe by construction, and callers no
-// longer carry lists of feeds to close on the way out.
+// terminateLocked fails a never-dispatched build. Callers hold s.mu
+// (but not b.mu) and have taken b out of the queue.
 func (s *Server) terminateLocked(b *Build, err error) {
-	s.m.queued--
-	s.m.failed++
-	s.ownerSettledLocked(b.Owner)
-	b.mu.Lock()
-	b.state = StateFailure
-	b.err = err
-	b.finishedAt = s.clock.Now()
-	b.stopTimersLocked()
-	fmt.Fprintf(&b.log, "build failed: %v\n", err)
-	s.logBuildFinishedLocked(b)
-	b.mu.Unlock()
-	s.hub.Close(b.ID)
-	s.publishBuildLocked(b)
-	s.scheduleRetention(b)
+	s.settleLocked(b, StateFailure, err, "build failed: "+err.Error())
 }
 
 // finish completes a build, releases its locks and re-runs dispatch.
@@ -1813,53 +1724,27 @@ func (s *Server) finish(b *Build, attempt int, locks []string, err error) {
 		s.mu.Unlock()
 		return
 	}
-	b.finishedAt = s.clock.Now()
+	to, line := StateSuccess, "build succeeded"
 	switch {
 	case err != nil && b.cancelWant:
-		b.state = StateAborted
-		s.m.aborted++
-		b.err = err
-		fmt.Fprintf(&b.log, "build canceled: %v\n", err)
+		to, line = StateAborted, fmt.Sprintf("build canceled: %v", err)
 	case err != nil:
-		b.state = StateFailure
-		s.m.failed++
-		b.err = err
-		fmt.Fprintf(&b.log, "build failed: %v\n", err)
-	default:
-		b.state = StateSuccess
-		s.m.succeeded++
-		fmt.Fprintf(&b.log, "build succeeded\n")
+		to, line = StateFailure, fmt.Sprintf("build failed: %v", err)
 	}
-	s.m.running--
-	b.stopTimersLocked()
-	s.logBuildFinishedLocked(b)
-	nodeName := b.nodeName
-	deviceTime := b.finishedAt.Sub(b.startedAt)
 	b.mu.Unlock()
 
 	for _, k := range locks {
 		delete(s.locks, k)
 	}
-	s.running--
-	if rec := s.campaigns[b.campaign]; rec != nil {
-		rec.running--
-	}
-	if rec := s.nodeRecs[nodeName]; rec != nil && rec.running > 0 {
-		rec.running--
-	}
-	s.ownerRunDoneLocked(b.Owner)
-	s.ownerSettledLocked(b.Owner)
-	// Close the feed and republish served state while still inside the
-	// scheduler's critical section: the hub and read plane are leaf
-	// locks, and publishing here keeps snapshot order identical to
-	// transition order (monotonic reads for status pollers).
-	s.hub.Close(b.ID)
-	s.publishBuildLocked(b)
-	s.publishNodesLocked()
+	// Settle while still inside the scheduler's critical section: the
+	// hub and read plane are leaf locks, and publishing here keeps
+	// snapshot order identical to transition order (monotonic reads for
+	// status pollers).
+	s.settleLocked(b, to, err, line)
+	deviceTime := b.Duration()
 	s.mu.Unlock()
 
 	s.chargeRun(b.Owner, deviceTime)
-	s.scheduleRetention(b)
 	s.dispatch()
 }
 
@@ -1876,10 +1761,7 @@ func (s *Server) scheduleRetention(b *Build) {
 		b.log.Reset()
 		b.mu.Unlock()
 		s.mu.Lock()
-		delete(s.builds, b.ID)
-		s.hub.Remove(b.ID)
-		s.reads.removeBuild(b.ID)
-		s.logStore(store.Record{T: store.TBuildExpired, BuildID: b.ID})
+		s.commitLocked(store.Record{T: store.TBuildExpired, BuildID: b.ID})
 		if rec := s.campaigns[b.campaign]; rec != nil {
 			live := false
 			for _, bid := range rec.builds {
@@ -1889,9 +1771,7 @@ func (s *Server) scheduleRetention(b *Build) {
 				}
 			}
 			if !live {
-				delete(s.campaigns, b.campaign)
-				s.reads.removeCampaign(b.campaign)
-				s.logStore(store.Record{T: store.TCampaignExpired, CampaignID: b.campaign})
+				s.commitLocked(store.Record{T: store.TCampaignExpired, CampaignID: b.campaign})
 			}
 		}
 		s.mu.Unlock()

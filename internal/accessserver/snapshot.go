@@ -216,12 +216,11 @@ func (s *Server) publishBuildLocked(b *Build) {
 	s.reads.publishBuild(buildStatus(b))
 }
 
-// publishNodesLocked rebuilds and republishes the node census after
-// anything that changes what GET /nodes would report: heartbeats,
-// monitor/drain/remove transitions, and queue movement (queued counts).
-// One queue scan covers every node, where the old per-request path
-// scanned the queue once per node per poll while holding s.mu.
-// Callers hold s.mu but never any b.mu.
+// publishNodesLocked rebuilds and republishes the node census. It runs
+// from the scheduler lock's Unlock, once per critical section that
+// marked the census dirty: heartbeats, node transitions and queue
+// movement (queued counts) change what GET /nodes reports. One queue
+// scan covers every node. Callers hold s.mu but never any b.mu.
 func (s *Server) publishNodesLocked() {
 	queued := make(map[string]int)
 	for _, b := range s.queue {

@@ -263,6 +263,8 @@ const (
 	rfEntry      = 22
 	rfStateEnum  = 23
 	rfPeer       = 24
+	rfRoutedVia  = 25
+	rfScore      = 26
 )
 
 // encodeRecord renders rec as a binary frame payload (marker byte plus
@@ -317,6 +319,8 @@ func encodeRecord(rec Record) (payload []byte, ok bool, err error) {
 	if rec.Peer != nil {
 		e.bytes(rfPeer, encodePeer(rec.Peer))
 	}
+	e.str(rfRoutedVia, rec.RoutedVia)
+	e.float(rfScore, rec.Score)
 	return e.b, true, nil
 }
 
@@ -422,6 +426,10 @@ func decodeRecord(payload []byte) (Record, error) {
 				return rec, err
 			}
 			rec.Peer = p
+		case rfRoutedVia:
+			rec.RoutedVia = d.str()
+		case rfScore:
+			rec.Score = d.fixed64()
 		default:
 			d.skip(wire)
 		}
@@ -589,6 +597,8 @@ func encodeBuild(b *BuildRec) ([]byte, error) {
 		e.bytes(16, encodeSummary(b.Summary))
 	}
 	e.svarint(17, int64(b.FeedEpoch))
+	e.str(19, b.RoutedVia)
+	e.float(20, b.PlacementScore)
 	return e.b, nil
 }
 
@@ -649,6 +659,10 @@ func decodeBuild(data []byte) (*BuildRec, error) {
 			b.FeedEpoch = int(d.svarint())
 		case 18:
 			b.State = d.str()
+		case 19:
+			b.RoutedVia = d.str()
+		case 20:
+			b.PlacementScore = d.fixed64()
 		default:
 			d.skip(wire)
 		}

@@ -52,9 +52,9 @@ func codecVocabulary() []Record {
 			State: "queued", Err: "boom", Canceled: true, NodeLost: true,
 			Node: "node1", Attempts: 2, Retries: 1,
 			QueuedAtNS: 1000, StartedAtNS: 2000, FinishedAtNS: 3000,
-			Summary: sum, FeedEpoch: 4,
+			Summary: sum, FeedEpoch: 4, RoutedVia: "lab-b", PlacementScore: 0.75,
 		}},
-		{T: TBuildStarted, BuildID: 1, NodeName: "node1", Attempt: 1, AtNS: 2000},
+		{T: TBuildStarted, BuildID: 1, NodeName: "node1", Attempt: 1, AtNS: 2000, RoutedVia: "lab-b", Score: -1.5},
 		{T: TBuildCancelWant, BuildID: 1},
 		{T: TBuildFailover, BuildID: 1, Retries: 1, Reason: "node lost", AtNS: 2500},
 		{T: TBuildFinished, BuildID: 1, State: "success", Summary: sum, AtNS: 5000},

@@ -179,6 +179,11 @@ type BuildRec struct {
 	Node     string `json:"node,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
 	Retries  int    `json:"retries,omitempty"`
+	// RoutedVia names the federation peer that ran the last attempt
+	// ("" = local) and PlacementScore the placer's score for it: the
+	// provenance the wire status reports.
+	RoutedVia      string  `json:"routed_via,omitempty"`
+	PlacementScore float64 `json:"placement_score,omitempty"`
 
 	QueuedAtNS   int64 `json:"queued_at_ns,omitempty"`
 	StartedAtNS  int64 `json:"started_at_ns,omitempty"`
@@ -239,9 +244,11 @@ type Record struct {
 	// below patch it by BuildID.
 	Build   *BuildRec `json:"build,omitempty"`
 	BuildID int       `json:"build_id,omitempty"`
-	// TBuildStarted.
-	NodeName string `json:"node_name,omitempty"`
-	Attempt  int    `json:"attempt,omitempty"`
+	// TBuildStarted (RoutedVia is "" for a local placement).
+	NodeName  string  `json:"node_name,omitempty"`
+	Attempt   int     `json:"attempt,omitempty"`
+	RoutedVia string  `json:"routed_via,omitempty"`
+	Score     float64 `json:"score,omitempty"`
 	// TBuildFailover.
 	Retries int    `json:"retries,omitempty"`
 	Reason  string `json:"reason,omitempty"`

@@ -363,9 +363,15 @@ func TestFederationRoundTrip(t *testing.T) {
 func TestFederationPeerLossFailover(t *testing.T) {
 	fl := newFedLab(t)
 	client := fl.client(t)
-	log := newProgressLog()
 	ctx := context.Background()
 
+	// The fault is scripted on the virtual clock. The clock is held from
+	// submission until the routed run is live on both servers, so the run
+	// starts at a known instant; the peer kill is then armed 30 s into
+	// the 120 s run. However long the relay takes in real time, the
+	// remote run cannot finish before its peer dies.
+	release := fl.clock.Hold()
+	defer release() // idempotent: covers the early-exit paths
 	sess, err := client.StartExperiment(ctx, api.ExperimentSpec{
 		Node: "node2", Device: fl.devices[1],
 		Monitor: api.MonitorSpec{SampleRateHz: 500},
@@ -373,36 +379,27 @@ func TestFederationPeerLossFailover(t *testing.T) {
 			Name:   "video",
 			Params: api.Params{"duration_ms": 120000},
 		},
-	}, log)
+	}, newProgressLog())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Wait (real time) until the routed run is live: samples from B are
-	// streaming through A's feed.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		log.mu.Lock()
-		n := log.samples["node2"]
-		log.mu.Unlock()
-		if n > 0 {
-			break
-		}
+	for deadline := time.Now().Add(10 * time.Second); fl.a.Access.Running() != 1 || fl.b.Access.Running() != 1; {
 		if time.Now().After(deadline) {
-			t.Fatal("routed build never streamed a sample home")
+			t.Fatalf("relay never started: A running %d, B running %d (want 1 each)",
+				fl.a.Access.Running(), fl.b.Access.Running())
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	if st, err := client.BuildStatus(ctx, sess.Build()); err != nil || st.RoutedVia != "lab-b" {
 		t.Fatalf("mid-run status: routed_via=%q err=%v, want lab-b", st.RoutedVia, err)
 	}
-
-	// Kill the peer: sever every live connection and refuse new ones.
-	// The clock is held across the kill so the remote run cannot sprint
-	// to completion in the gap.
-	release := fl.clock.Hold()
-	fl.tsB.CloseClientConnections()
-	fl.tsB.Listener.Close()
+	fl.clock.AfterFunc(30*time.Second, func() {
+		// Kill the peer: refuse new connections, then sever the live
+		// ones (in this order, so a relay reconnecting in between
+		// cannot slip through).
+		fl.tsB.Listener.Close()
+		fl.tsB.CloseClientConnections()
+	})
 	release()
 
 	_, err = sess.Wait(ctx)
