@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver"
+	"batterylab/internal/accessserver/schedsim"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/metrics"
@@ -309,7 +310,7 @@ func runFleetPhase(nodeCount, clientCount, buildCount int, flood bool) (fleetPha
 	nodeNames := make([]string, nodeCount)
 	for i := range nodeNames {
 		nodeNames[i] = fmt.Sprintf("node%02d", i)
-		if err := srv.RegisterNode(rawBenchNode{name: nodeNames[i]}); err != nil {
+		if err := srv.RegisterNode(schedsim.NewNode(nodeNames[i], "dev-"+nodeNames[i])); err != nil {
 			return phase, err
 		}
 	}
@@ -448,29 +449,8 @@ func runFleetPhase(nodeCount, clientCount, buildCount int, flood bool) (fleetPha
 	}
 
 	// Drive the virtual clock until every build settles.
-	terminal := func(b *accessserver.Build) bool {
-		switch b.State() {
-		case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			return true
-		}
-		return false
-	}
-	for {
-		settled := true
-		for _, b := range all {
-			if !terminal(b) {
-				settled = false
-				break
-			}
-		}
-		if settled {
-			break
-		}
-		next, ok := clk.NextDeadline()
-		if !ok {
-			return phase, fmt.Errorf("fleet-bench: stalled with %d builds queued", srv.QueueLength())
-		}
-		clk.RunUntil(next)
+	if err := schedsim.Drive(clk, all, 24*time.Hour); err != nil {
+		return phase, fmt.Errorf("fleet-bench: %w (%d builds queued)", err, srv.QueueLength())
 	}
 	wg.Wait()
 	wallNS := time.Since(start).Nanoseconds()
@@ -618,10 +598,10 @@ func runFleetFederation(perServer, buildCount int) (fleetFederation, error) {
 	for i := 0; i < perServer; i++ {
 		homeNodes[i] = fmt.Sprintf("fed-a-%02d", i)
 		peerNodes[i] = fmt.Sprintf("fed-b-%02d", i)
-		if err := home.RegisterNode(rawBenchNode{name: homeNodes[i]}); err != nil {
+		if err := home.RegisterNode(schedsim.NewNode(homeNodes[i], "dev-"+homeNodes[i])); err != nil {
 			return out, err
 		}
-		if err := peer.RegisterNode(rawBenchNode{name: peerNodes[i]}); err != nil {
+		if err := peer.RegisterNode(schedsim.NewNode(peerNodes[i], "dev-"+peerNodes[i])); err != nil {
 			return out, err
 		}
 	}
@@ -688,18 +668,11 @@ func runFleetFederation(perServer, buildCount int) (fleetFederation, error) {
 		all = append(all, b)
 	}
 
-	terminal := func(b *accessserver.Build) bool {
-		switch b.State() {
-		case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			return true
-		}
-		return false
-	}
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		settled := 0
 		for _, b := range all {
-			if terminal(b) {
+			if b.State().Terminal() {
 				settled++
 			}
 		}

@@ -9,8 +9,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver"
-	"batterylab/internal/api"
-	"batterylab/internal/simclock"
+	"batterylab/internal/accessserver/schedsim"
 )
 
 // schedBenchReport is the JSON baseline committed as BENCH_sched.json:
@@ -35,8 +34,9 @@ type schedBenchReport struct {
 // schedScenario is one fleet condition's outcome.
 type schedScenario struct {
 	Name string `json:"name"`
-	// WallNS is the real time the whole simulated run took; the
-	// headline DispatchPerSec is Builds/WallNS.
+	// WallNS is the real time one whole schedsim.Run took: server and
+	// fleet setup, submission and the virtual-clock drive. The headline
+	// DispatchPerSec is Builds/WallNS.
 	WallNS         int64   `json:"wall_ns"`
 	DispatchPerSec float64 `json:"dispatch_per_sec"`
 	// SimulatedMS is the virtual-clock makespan of the run.
@@ -54,124 +54,66 @@ type schedScenario struct {
 	ModelMatched int `json:"model_matched,omitempty"`
 }
 
-// benchNode is an instant in-process vantage point: pings succeed
-// unless killed, and it hosts one synthetic device.
-type benchNode struct {
-	name string
-	flk  *accessserver.FlakyNode
-}
+// benchRun is every scenario build's simulated run time.
+const benchRun = 10 * time.Second
 
-type rawBenchNode struct{ name string }
-
-func (n rawBenchNode) Name() string { return n.name }
-func (n rawBenchNode) Exec(cmd string, args ...string) (string, error) {
-	switch cmd {
-	case "ping":
-		return "pong", nil
-	case "list_devices":
-		return "dev-" + n.name, nil
-	case "status":
-		return "status: cpu=5.0%", nil
-	}
-	return "", nil
-}
-func (n rawBenchNode) Ping() error { return nil }
-
-// devBenchNode hosts a configurable device serial, so scenarios can
-// build fleets with distinct device models for the placer to match.
-type devBenchNode struct{ name, device string }
-
-func (n devBenchNode) Name() string { return n.name }
-func (n devBenchNode) Exec(cmd string, args ...string) (string, error) {
-	switch cmd {
-	case "ping":
-		return "pong", nil
-	case "list_devices":
-		return n.device, nil
-	case "status":
-		return "status: cpu=5.0%", nil
-	}
-	return "", nil
-}
-func (n devBenchNode) Ping() error { return nil }
-
-// benchBackend compiles every spec into a 10-second simulated run.
-type benchBackend struct{ clock simclock.Clock }
-
-func (b benchBackend) Compile(spec api.ExperimentSpec) (accessserver.Constraints, accessserver.RunFunc, error) {
-	cons := accessserver.Constraints{
-		Node:     spec.Node,
-		Device:   spec.Device,
-		Fallback: spec.Constraints.AllowFallback,
-	}
-	return cons, func(ctx *accessserver.BuildContext, done func(error)) {
-		b.clock.AfterFunc(10*time.Second, func() {
-			// A run on a dead vantage point never reports back — the
-			// hang the lease watchdog exists to break. Live nodes
-			// complete normally.
-			if _, err := ctx.Node.Exec("ping"); err != nil {
-				return
-			}
-			done(nil)
-		})
-	}, nil
-}
-
-func (benchBackend) WorkloadNames() []string { return []string{"bench"} }
-
-// runSchedScenario queues builds across nodes and drives the virtual
-// clock to completion, optionally killing flakyCount nodes 30 s in.
-func runSchedScenario(name string, builds, nodeCount, flakyCount int) (schedScenario, error) {
-	clk := simclock.NewVirtual()
-	srv := accessserver.New(clk, accessserver.Config{
-		Executors:      nodeCount,
-		HeartbeatEvery: 5 * time.Second,
-		RetryBackoff:   5 * time.Second,
-		MaxRetries:     3,
-		PendingTimeout: 10 * time.Minute,
-	})
-	srv.SetSpecBackend(benchBackend{clock: clk})
-	admin, err := srv.Users.Add("bench", accessserver.RoleAdmin)
-	if err != nil {
-		return schedScenario{}, err
-	}
-	nodes := make([]benchNode, nodeCount)
-	for i := range nodes {
+// benchScript is the fleet the healthy, flaky and skewed scenarios
+// share: nodeNN vantage points each hosting dev-nodeNN, and one build
+// per owners entry, pinned round-robin across the fleet with fallback.
+func benchScript(nodeCount int, owners []string) schedsim.Script {
+	var s schedsim.Script
+	for i := 0; i < nodeCount; i++ {
 		nm := fmt.Sprintf("node%02d", i)
-		flk := accessserver.NewFlakyNode(rawBenchNode{name: nm})
-		if err := srv.RegisterNode(flk); err != nil {
-			return schedScenario{}, err
-		}
-		nodes[i] = benchNode{name: nm, flk: flk}
+		s.Nodes = append(s.Nodes, schedsim.NodeSpec{Name: nm, Devices: []string{"dev-" + nm}})
 	}
+	for i, o := range owners {
+		n := s.Nodes[i%nodeCount]
+		s.Builds = append(s.Builds, schedsim.BuildSpec{
+			Owner: o, Node: n.Name, Device: n.Devices[0], Fallback: true, Duration: benchRun,
+		})
+	}
+	return s
+}
 
+// playSched plays one script and folds its outcome into a scenario
+// record.
+func playSched(name string, script schedsim.Script) (schedScenario, schedsim.Result, error) {
 	start := time.Now()
-	t0 := clk.Now()
-	all := make([]*accessserver.Build, 0, builds)
-	for i := 0; i < builds; i++ {
-		n := nodes[i%nodeCount]
-		b, err := srv.SubmitSpec(admin, api.ExperimentSpec{
-			Node: n.name, Device: "dev-" + n.name,
-			Workload:    api.WorkloadSpec{Name: "bench"},
-			Constraints: api.ConstraintsSpec{AllowFallback: true},
-		})
-		if err != nil {
-			return schedScenario{}, err
+	res, err := schedsim.Run(script)
+	wall := time.Since(start).Nanoseconds()
+	if err != nil {
+		return schedScenario{}, res, fmt.Errorf("sched-bench %s: %w", name, err)
+	}
+	sc := schedScenario{
+		Name:           name,
+		WallNS:         wall,
+		DispatchPerSec: float64(len(res.Builds)) / (float64(wall) / 1e9),
+		SimulatedMS:    res.MakespanNS / 1e6,
+	}
+	for _, r := range res.Builds {
+		if r.State == accessserver.StateSuccess.String() {
+			sc.Succeeded++
+		} else {
+			sc.Failed++
 		}
-		all = append(all, b)
+		sc.Failovers += r.Failovers
 	}
-	if flakyCount > 0 {
-		clk.AfterFunc(30*time.Second, func() {
-			for i := 0; i < flakyCount; i++ {
-				nodes[i].flk.Kill()
-			}
-		})
-	}
+	return sc, res, nil
+}
 
-	if err := driveSched(clk, srv, name, all); err != nil {
-		return schedScenario{}, err
+// runSchedScenario queues builds across nodes and plays them to
+// completion, killing the first flakyCount nodes 30 s in.
+func runSchedScenario(name string, builds, nodeCount, flakyCount int) (schedScenario, error) {
+	owners := make([]string, builds)
+	for i := range owners {
+		owners[i] = "bench"
 	}
-	return tallySched(name, start, t0, clk, all), nil
+	script := benchScript(nodeCount, owners)
+	for i := 0; i < flakyCount; i++ {
+		script.Nodes[i].KillAt = 30 * time.Second
+	}
+	sc, _, err := playSched(name, script)
+	return sc, err
 }
 
 // runSkewedTenant measures admission fairness: one hog owner submits
@@ -181,36 +123,9 @@ func runSchedScenario(name string, builds, nodeCount, flakyCount int) (schedScen
 // lower (the hog queues behind its own cap, the small tenants only
 // behind free executors).
 func runSkewedTenant(name string, builds, nodeCount int) (schedScenario, error) {
-	clk := simclock.NewVirtual()
-	srv := accessserver.New(clk, accessserver.Config{
-		Executors:      nodeCount,
-		HeartbeatEvery: 5 * time.Second,
-		RetryBackoff:   5 * time.Second,
-		MaxRetries:     3,
-		PendingTimeout: time.Hour,
-		OwnerRunCap:    3,
-	})
-	srv.SetSpecBackend(benchBackend{clock: clk})
-	owners := []string{"hog", "u1", "u2", "u3"}
-	users := map[string]*accessserver.User{}
-	for _, o := range owners {
-		u, err := srv.Users.Add(o, accessserver.RoleExperimenter)
-		if err != nil {
-			return schedScenario{}, err
-		}
-		users[o] = u
-	}
-	nodes := make([]string, nodeCount)
-	for i := range nodes {
-		nodes[i] = fmt.Sprintf("node%02d", i)
-		flk := accessserver.NewFlakyNode(rawBenchNode{name: nodes[i]})
-		if err := srv.RegisterNode(flk); err != nil {
-			return schedScenario{}, err
-		}
-	}
-
 	// The hog floods the queue first; the small tenants submit behind
 	// its backlog — the shape fair-share exists for.
+	owners := []string{"hog", "u1", "u2", "u3"}
 	perSmall := builds / 10
 	plan := make([]string, 0, builds)
 	for i := 0; i < builds-3*perSmall; i++ {
@@ -221,33 +136,17 @@ func runSkewedTenant(name string, builds, nodeCount int) (schedScenario, error) 
 			plan = append(plan, o)
 		}
 	}
-	start := time.Now()
-	t0 := clk.Now()
-	all := make([]*accessserver.Build, 0, builds)
-	ownerOf := make(map[*accessserver.Build]string, builds)
-	for i, o := range plan {
-		n := nodes[i%nodeCount]
-		b, err := srv.SubmitSpec(users[o], api.ExperimentSpec{
-			Node: n, Device: "dev-" + n,
-			Workload:    api.WorkloadSpec{Name: "bench"},
-			Constraints: api.ConstraintsSpec{AllowFallback: true},
-		})
-		if err != nil {
-			return schedScenario{}, err
-		}
-		all = append(all, b)
-		ownerOf[b] = o
-	}
-	if err := driveSched(clk, srv, name, all); err != nil {
-		return schedScenario{}, err
+	script := benchScript(nodeCount, plan)
+	script.Config = accessserver.Config{PendingTimeout: time.Hour, OwnerRunCap: 3}
+	sc, res, err := playSched(name, script)
+	if err != nil {
+		return sc, err
 	}
 
-	sc := tallySched(name, start, t0, clk, all)
 	sc.MaxWaitMS = map[string]int64{}
-	for _, b := range all {
-		o := ownerOf[b]
-		if ms := b.QueueTime().Milliseconds(); ms > sc.MaxWaitMS[o] {
-			sc.MaxWaitMS[o] = ms
+	for _, r := range res.Builds {
+		if ms := r.WaitNS / 1e6; ms > sc.MaxWaitMS[r.Owner] {
+			sc.MaxWaitMS[r.Owner] = ms
 		}
 	}
 	for _, o := range owners[1:] {
@@ -266,58 +165,31 @@ func runSkewedTenant(name string, builds, nodeCount int) (schedScenario, error) 
 // fallback enabled. The scorer's model-match term must land every
 // build on a node hosting the requested model.
 func runHeteroFleet(name string, builds, nodeCount int) (schedScenario, error) {
-	clk := simclock.NewVirtual()
-	srv := accessserver.New(clk, accessserver.Config{
-		Executors:      nodeCount,
-		HeartbeatEvery: 5 * time.Second,
-		RetryBackoff:   5 * time.Second,
-		MaxRetries:     3,
-		PendingTimeout: time.Hour,
-	})
-	srv.SetSpecBackend(benchBackend{clock: clk})
-	admin, err := srv.Users.Add("bench", accessserver.RoleAdmin)
-	if err != nil {
-		return schedScenario{}, err
-	}
 	models := []string{"pixel4", "motog5"}
+	script := schedsim.Script{Config: accessserver.Config{PendingTimeout: time.Hour}}
 	nodeModel := map[string]string{}
 	for i := 0; i < nodeCount; i++ {
 		model := models[i%len(models)]
 		nm := fmt.Sprintf("%s-host%02d", model, i/len(models))
 		dev := fmt.Sprintf("%s-%02d", model, i/len(models))
-		flk := accessserver.NewFlakyNode(devBenchNode{name: nm, device: dev})
-		if err := srv.RegisterNode(flk); err != nil {
-			return schedScenario{}, err
-		}
+		script.Nodes = append(script.Nodes, schedsim.NodeSpec{Name: nm, Devices: []string{dev}})
 		nodeModel[nm] = model
 	}
-
-	start := time.Now()
-	t0 := clk.Now()
-	all := make([]*accessserver.Build, 0, builds)
-	wantModel := make(map[*accessserver.Build]string, builds)
 	for i := 0; i < builds; i++ {
-		model := models[i%len(models)]
-		b, err := srv.SubmitSpec(admin, api.ExperimentSpec{
+		script.Builds = append(script.Builds, schedsim.BuildSpec{
 			// The pinned node is long gone; only fallback placement —
 			// and so the scorer — can run this build.
-			Node: "retired-node", Device: model + "-want",
-			Workload:    api.WorkloadSpec{Name: "bench"},
-			Constraints: api.ConstraintsSpec{AllowFallback: true},
+			Owner: "bench", Node: "retired-node", Device: models[i%len(models)] + "-want",
+			Fallback: true, Duration: benchRun,
 		})
-		if err != nil {
-			return schedScenario{}, err
-		}
-		all = append(all, b)
-		wantModel[b] = model
 	}
-	if err := driveSched(clk, srv, name, all); err != nil {
-		return schedScenario{}, err
+	sc, res, err := playSched(name, script)
+	if err != nil {
+		return sc, err
 	}
 
-	sc := tallySched(name, start, t0, clk, all)
-	for _, b := range all {
-		if nodeModel[b.NodeName()] == wantModel[b] {
+	for i, r := range res.Builds {
+		if nodeModel[r.Node] == models[i%len(models)] {
 			sc.ModelMatched++
 		}
 	}
@@ -327,52 +199,6 @@ func runHeteroFleet(name string, builds, nodeCount int) (schedScenario, error) {
 			name, sc.ModelMatched, builds)
 	}
 	return sc, nil
-}
-
-// driveSched runs the virtual clock until every build is terminal.
-func driveSched(clk *simclock.Virtual, srv *accessserver.Server, name string, all []*accessserver.Build) error {
-	terminal := func(b *accessserver.Build) bool {
-		switch b.State() {
-		case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			return true
-		}
-		return false
-	}
-	allDone := func() bool {
-		for _, b := range all {
-			if !terminal(b) {
-				return false
-			}
-		}
-		return true
-	}
-	for !allDone() {
-		next, ok := clk.NextDeadline()
-		if !ok {
-			return fmt.Errorf("sched-bench %s: stalled with %d builds unfinished", name, srv.QueueLength())
-		}
-		clk.RunUntil(next)
-	}
-	return nil
-}
-
-// tallySched folds build outcomes into a scenario record.
-func tallySched(name string, start time.Time, t0 time.Time, clk *simclock.Virtual, all []*accessserver.Build) schedScenario {
-	sc := schedScenario{
-		Name:        name,
-		WallNS:      time.Since(start).Nanoseconds(),
-		SimulatedMS: clk.Now().Sub(t0).Milliseconds(),
-	}
-	for _, b := range all {
-		if b.State() == accessserver.StateSuccess {
-			sc.Succeeded++
-		} else {
-			sc.Failed++
-		}
-		sc.Failovers += b.Retries()
-	}
-	sc.DispatchPerSec = float64(len(all)) / (float64(sc.WallNS) / 1e9)
-	return sc
 }
 
 // buildSchedReport runs every scenario at the given scale.

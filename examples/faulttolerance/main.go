@@ -86,17 +86,10 @@ func main() {
 	// Drive simulated time event-by-event until every build settles,
 	// narrating health transitions as they happen.
 	lastHealth := map[string]string{}
-	terminal := func(b *accessserver.Build) bool {
-		switch b.State() {
-		case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			return true
-		}
-		return false
-	}
 	for {
 		done := true
 		for _, b := range builds {
-			if !terminal(b) {
+			if !b.State().Terminal() {
 				done = false
 			}
 		}

@@ -20,6 +20,7 @@ import (
 
 	"batterylab"
 	"batterylab/internal/accessserver"
+	"batterylab/internal/accessserver/schedsim"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
@@ -52,27 +53,6 @@ func boot(dir string) (*simclock.Virtual, *accessserver.Server, map[string]strin
 		log.Fatal(err)
 	}
 	return clock, plat.Access, devices, st, stats
-}
-
-func drive(clock *simclock.Virtual, builds []*accessserver.Build) {
-	for {
-		done := true
-		for _, b := range builds {
-			switch b.State() {
-			case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			default:
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		next, ok := clock.NextDeadline()
-		if !ok {
-			log.Fatal("stalled: no pending timers")
-		}
-		clock.RunUntil(next)
-	}
 }
 
 func main() {
@@ -136,7 +116,9 @@ func main() {
 		}
 		members = append(members, b)
 	}
-	drive(clock2, members)
+	if err := schedsim.Drive(clock2, members, 24*time.Hour); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("process 2: campaign completed after restart:")
 	for i, b := range members {
 		retried := ""

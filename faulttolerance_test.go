@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver"
+	"batterylab/internal/accessserver/schedsim"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
 )
@@ -84,34 +85,10 @@ func (l *faultLab) idleSpec(node string) api.ExperimentSpec {
 // build reaches a terminal state, returning the simulated finish time.
 func (l *faultLab) runToCompletion(t *testing.T, builds []*accessserver.Build) time.Time {
 	t.Helper()
-	terminal := func(b *accessserver.Build) bool {
-		switch b.State() {
-		case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			return true
-		}
-		return false
+	if err := schedsim.Drive(l.clk, builds, 4*time.Hour); err != nil {
+		t.Fatalf("campaign: %v (%d queued)", err, l.srv.QueueLength())
 	}
-	deadline := l.clk.Now().Add(4 * time.Hour) // simulated-time safety net
-	for {
-		done := true
-		for _, b := range builds {
-			if !terminal(b) {
-				done = false
-				break
-			}
-		}
-		if done {
-			return l.clk.Now()
-		}
-		next, ok := l.clk.NextDeadline()
-		if !ok {
-			t.Fatalf("campaign stalled: no pending timers, %d queued", l.srv.QueueLength())
-		}
-		if next.After(deadline) {
-			t.Fatalf("campaign did not finish within the simulated budget")
-		}
-		l.clk.RunUntil(next)
-	}
+	return l.clk.Now()
 }
 
 // runKillScenario is one full campaign-with-node-kill run; extracted so

@@ -56,6 +56,20 @@ func crashBackend(clk simclock.Clock) SpecBackend {
 	})
 }
 
+// replugNode is a vantage point whose attached devices can change while
+// it stays registered.
+type replugNode struct {
+	staticNode
+	devices *string
+}
+
+func (n replugNode) Exec(cmd string, args ...string) (string, error) {
+	if cmd == "list_devices" {
+		return *n.devices, nil
+	}
+	return n.staticNode.Exec(cmd, args...)
+}
+
 // runCrashScenario drives one server with a store in dir through a
 // scripted virtual-clock scenario that commits every record type, and
 // returns the persistent state captured at each commit boundary, keyed
@@ -120,7 +134,8 @@ func runCrashScenario(t *testing.T, dir string) map[int]*store.Snapshot {
 
 	vp1 := NewFlakyNode(staticNode{name: "vp1"})
 	must(srv.RegisterNode(vp1))
-	must(srv.RegisterNode(staticNode{name: "vp2"}))
+	vp2Devices := "dev1\ndev2\ndev3"
+	must(srv.RegisterNode(replugNode{staticNode{name: "vp2"}, &vp2Devices}))
 	srv.SetNodeOwner("vp2", "bob")
 
 	// A job build waiting for a node that never registers fails when its
@@ -165,6 +180,24 @@ func runCrashScenario(t *testing.T, dir string) map[int]*store.Snapshot {
 	// Commits inside the backoff window: a crash here must find the
 	// pending cancel in the WAL.
 	must(srv.DrainNode(alice, "vp2"))
+	// A phone is plugged into the draining vp2: re-arming it commits the
+	// new device list and keeps the drain. Re-arming with nothing
+	// changed commits nothing.
+	vp2Devices += "\ndev4"
+	must(srv.MonitorNode("vp2"))
+	if h := srv.NodeHealth("vp2").Health; h != HealthDraining {
+		t.Fatalf("vp2 after re-arm: %v, want draining", h)
+	}
+	appended := func() int {
+		srv.storeMu.Lock()
+		defer srv.storeMu.Unlock()
+		return st.Appended()
+	}
+	n := appended()
+	must(srv.MonitorNode("vp2"))
+	if got := appended(); got != n {
+		t.Fatalf("re-arming an unchanged node appended %d WAL records", got-n)
+	}
 	must(srv.UndrainNode(alice, "vp2"))
 	// vp1 returns at 45s and the two survivors run again from 50s; it
 	// dies again at 55s and their retry budget is spent at 1m15s.

@@ -109,18 +109,18 @@ func TestFeedPlaneLockFree(t *testing.T) {
 // stateRank orders wire states along a build's lifecycle; monotonic
 // reads mean no client may ever observe the rank decrease.
 func stateRank(t *testing.T, st string) int {
-	switch st {
-	case StateQueued.String():
-		return 0
-	case StateRunning.String():
-		return 1
-	case StateSuccess.String(), StateFailure.String(), StateAborted.String():
-		return 2
-	case api.StateExpired:
+	if st == api.StateExpired {
 		return 3
 	}
-	t.Errorf("unknown wire state %q", st)
-	return -1
+	bs, ok := parseState(st)
+	switch {
+	case !ok:
+		t.Errorf("unknown wire state %q", st)
+		return -1
+	case bs.Terminal():
+		return 2
+	}
+	return int(bs) // queued 0, running 1
 }
 
 // TestMonotonicReadsDuringChurn drives a thousand concurrent status

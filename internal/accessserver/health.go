@@ -2,6 +2,7 @@ package accessserver
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -178,7 +179,8 @@ func (s *Server) healthLocked(rec *nodeRec, now time.Time) Health {
 // MonitorNode arms heartbeat-driven health tracking for a registered
 // node: an initial beat is recorded, the device list is cached for
 // fallback placement, and a probe ticker starts on the server clock.
-// Idempotent.
+// Idempotent: re-arming a monitored node only refreshes its device
+// cache.
 func (s *Server) MonitorNode(name string) error {
 	if _, err := s.Nodes.Get(name); err != nil {
 		return err
@@ -197,9 +199,14 @@ func (s *Server) MonitorNode(name string) error {
 	rec := s.recLocked(name)
 	rec.lastBeat = s.clock.Now()
 	if rec.monitored {
-		// Already armed: refresh the device cache only.
-		rec.devices = devices
-		s.mu.censusDirty = true
+		// Already armed: only a changed device list is new state. It is
+		// committed, drain flag intact, so a restart restores it; an
+		// unchanged list adds no WAL record.
+		if !slices.Equal(rec.devices, devices) {
+			s.commitLocked(store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
+				Name: name, Monitored: true, Draining: rec.draining, Devices: devices,
+			}})
+		}
 		return nil
 	}
 	// A fresh arm ends any previous drain or removal lifecycle:

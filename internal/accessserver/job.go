@@ -93,6 +93,10 @@ const (
 	StateAborted
 )
 
+// Terminal reports whether s is a finished state: success, failure or
+// aborted.
+func (s BuildState) Terminal() bool { return s >= StateSuccess }
+
 func (s BuildState) String() string {
 	switch s {
 	case StateQueued:

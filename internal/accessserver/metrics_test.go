@@ -266,12 +266,8 @@ func TestMetricsConsistentUnderChurn(t *testing.T) {
 		if submittedAll {
 			mu.Lock()
 			for _, b := range all {
-				switch b.State() {
-				case StateSuccess, StateFailure, StateAborted:
-				default:
+				if !b.State().Terminal() {
 					done = false
-				}
-				if !done {
 					break
 				}
 			}

@@ -44,9 +44,7 @@ func drainServer(t *testing.T, clk *simclock.Virtual, builds []*Build) {
 	for {
 		done := true
 		for _, b := range builds {
-			switch b.State() {
-			case StateSuccess, StateFailure, StateAborted:
-			default:
+			if !b.State().Terminal() {
 				done = false
 			}
 		}

@@ -1,8 +1,8 @@
-// Package schedsim is the deterministic simulation harness for the
-// access server's scheduler. A Script describes a fleet (nodes, their
-// devices, and scripted kill/revive/late-registration instants) and a
-// workload (builds with owners, placement constraints, durations and
-// submit instants); Run plays the script against a real Server on a
+// Package schedsim is the repo's one virtual-clock scenario engine for
+// the access server's scheduler. A Script describes a fleet (nodes,
+// their devices, and scripted kill/revive/late-registration instants)
+// and a workload (builds with owners, placement constraints, durations
+// and submit instants); Run plays the script against a real Server on a
 // virtual clock and returns every build's full outcome — assignment,
 // placement score, attempts, wait and run durations, typed failure.
 //
@@ -13,13 +13,19 @@
 // twice and diff the outcomes, assert liveness (every submitted build
 // reaches a terminal state or fails typed), or probe scheduling policy
 // (fairness caps, scoring preferences) with scripted fleets instead of
-// ad-hoc assertions. This package is the standing correctness tool for
-// scheduler work; grow scripts here rather than hand-rolled tests.
+// ad-hoc assertions. The blab-bench -sched-bench scenarios are Scripts.
+//
+// Code that builds its own server still uses this package's pieces:
+// Drive steps a virtual clock until a set of builds settles (with the
+// same stall and budget errors Run reports), and NewNode is the
+// scripted in-process vantage point. Grow scripts here rather than
+// hand-rolling clock loops or fake nodes.
 package schedsim
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"batterylab/internal/accessserver"
@@ -117,6 +123,13 @@ type simNode struct {
 	devices string // newline-joined for list_devices
 }
 
+// NewNode returns an in-process vantage point hosting devices: pings
+// succeed, list_devices reports the serials, and status reports an
+// idle CPU. Wrap it in accessserver.NewFlakyNode to script failures.
+func NewNode(name string, devices ...string) accessserver.Node {
+	return simNode{name: name, devices: strings.Join(devices, "\n")}
+}
+
 func (n simNode) Name() string { return n.name }
 func (n simNode) Exec(cmd string, args ...string) (string, error) {
 	switch cmd {
@@ -206,30 +219,23 @@ func Run(script Script) (Result, error) {
 		users[bs.Owner] = u
 	}
 
-	flk := map[string]*accessserver.FlakyNode{}
-	register := func(ns NodeSpec) error {
-		n := flk[ns.Name]
-		return srv.RegisterNode(n)
-	}
 	for _, ns := range script.Nodes {
 		ns := ns
-		flk[ns.Name] = accessserver.NewFlakyNode(simNode{
-			name: ns.Name, devices: joinLines(ns.Devices),
-		})
+		flk := accessserver.NewFlakyNode(NewNode(ns.Name, ns.Devices...))
 		if ns.RegisterAt > 0 {
 			clk.AfterFunc(ns.RegisterAt, func() {
-				if err := register(ns); err != nil {
+				if err := srv.RegisterNode(flk); err != nil {
 					panic(fmt.Sprintf("schedsim: late-registering %s: %v", ns.Name, err))
 				}
 			})
-		} else if err := register(ns); err != nil {
+		} else if err := srv.RegisterNode(flk); err != nil {
 			return Result{}, fmt.Errorf("schedsim: registering %s: %w", ns.Name, err)
 		}
 		if ns.KillAt > 0 {
-			clk.AfterFunc(ns.KillAt, flk[ns.Name].Kill)
+			clk.AfterFunc(ns.KillAt, flk.Kill)
 		}
 		if ns.ReviveAt > 0 {
-			clk.AfterFunc(ns.ReviveAt, flk[ns.Name].Revive)
+			clk.AfterFunc(ns.ReviveAt, flk.Revive)
 		}
 	}
 
@@ -270,44 +276,25 @@ func Run(script Script) (Result, error) {
 		}
 	}
 
-	terminal := func(b *accessserver.Build) bool {
-		switch b.State() {
-		case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			return true
-		}
-		return false
-	}
 	// A build is outstanding while unsubmitted (its SubmitAt has not
 	// fired — builds[i] still nil and results[i] not shed) or
 	// non-terminal.
-	allDone := func() bool {
+	settled := func() bool {
 		for i, b := range builds {
 			if b == nil {
 				if !results[i].Shed {
 					return false
 				}
-				continue
-			}
-			if !terminal(b) {
+			} else if !b.State().Terminal() {
 				return false
 			}
 		}
 		return true
 	}
-	var makespan time.Duration
-	for !allDone() {
-		next, ok := clk.NextDeadline()
-		if !ok {
-			return Result{}, fmt.Errorf("schedsim: stalled with %d builds queued and no pending clock work", srv.QueueLength())
-		}
-		if next.Sub(t0) > maxSim {
-			return Result{}, fmt.Errorf("schedsim: exceeded the %s simulated-time safety net", maxSim)
-		}
-		clk.RunUntil(next)
-		if allDone() {
-			makespan = clk.Now().Sub(t0)
-		}
+	if err := drive(clk, maxSim, settled); err != nil {
+		return Result{}, fmt.Errorf("%w (%d builds queued)", err, srv.QueueLength())
 	}
+	makespan := clk.Now().Sub(t0)
 
 	for i, b := range builds {
 		if b == nil {
@@ -333,13 +320,39 @@ func Run(script Script) (Result, error) {
 	return Result{Builds: results, MakespanNS: makespan.Nanoseconds(), Shed: shed}, nil
 }
 
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n"
+// Drive steps clk from deadline to deadline until every build is
+// terminal. It errors when the run stalls (a build is still open but no
+// clock work is pending) or when the next deadline lies more than
+// budget past the instant Drive was called.
+func Drive(clk *simclock.Virtual, builds []*accessserver.Build, budget time.Duration) error {
+	return drive(clk, budget, func() bool {
+		for _, b := range builds {
+			if !b.State().Terminal() {
+				return false
+			}
 		}
-		out += s
+		return true
+	})
+}
+
+var (
+	errStalled    = errors.New("schedsim: stalled with open builds and no pending clock work")
+	errOverBudget = errors.New("schedsim: exceeded the simulated-time budget")
+)
+
+// drive is Drive over an arbitrary settled predicate: Run's scripted
+// builds hold a run open before they are even submitted.
+func drive(clk *simclock.Virtual, budget time.Duration, settled func() bool) error {
+	t0 := clk.Now()
+	for !settled() {
+		next, ok := clk.NextDeadline()
+		if !ok {
+			return fmt.Errorf("%w at %s", errStalled, clk.Now().Sub(t0))
+		}
+		if next.Sub(t0) > budget {
+			return fmt.Errorf("%w of %s", errOverBudget, budget)
+		}
+		clk.RunUntil(next)
 	}
-	return out
+	return nil
 }

@@ -1,6 +1,7 @@
 package schedsim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime/debug"
@@ -292,7 +293,7 @@ func simSpec(node, device string, params api.Params) api.ExperimentSpec {
 // keep reporting it across repeated scans.
 func TestPendingReasonStable(t *testing.T) {
 	clk, srv, admin := newDirectServer(t, accessserver.Config{Executors: 4})
-	n := accessserver.NewFlakyNode(simNode{name: "n1", devices: "pixel4-a"})
+	n := accessserver.NewFlakyNode(NewNode("n1", "pixel4-a"))
 	if err := srv.RegisterNode(n); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestPendingReasonStable(t *testing.T) {
 	// executor pressure outranks everything and must take over the
 	// reported reason (the old scheduler returned early when saturated,
 	// leaving a stale lower-priority reason behind).
-	n2 := accessserver.NewFlakyNode(simNode{name: "n2", devices: "pixel4-b\npixel4-c\npixel4-d"})
+	n2 := accessserver.NewFlakyNode(NewNode("n2", "pixel4-b", "pixel4-c", "pixel4-d"))
 	if err := srv.RegisterNode(n2); err != nil {
 		t.Fatal(err)
 	}
@@ -353,12 +354,9 @@ func TestDeepQueueNoStackGrowth(t *testing.T) {
 	const total = 10_000
 	_, srv, admin := newDirectServer(t, accessserver.Config{Executors: total + 1})
 
-	devices := ""
-	for i := 0; i < total; i++ {
-		if i > 0 {
-			devices += "\n"
-		}
-		devices += fmt.Sprintf("pixel4-%04d", i)
+	devices := make([]string, total)
+	for i := range devices {
+		devices[i] = fmt.Sprintf("pixel4-%04d", i)
 	}
 	sync := api.Params{"sync": true}
 	// Queue everything before the node exists, in max-size campaign
@@ -371,7 +369,7 @@ func TestDeepQueueNoStackGrowth(t *testing.T) {
 		}
 		specs := make([]api.ExperimentSpec, n)
 		for i := range specs {
-			specs[i] = simSpec("n1", fmt.Sprintf("pixel4-%04d", base+i), sync)
+			specs[i] = simSpec("n1", devices[base+i], sync)
 		}
 		_, builds, err := srv.SubmitCampaign(admin, api.CampaignSpec{Experiments: specs})
 		if err != nil {
@@ -390,12 +388,55 @@ func TestDeepQueueNoStackGrowth(t *testing.T) {
 
 	// Registering the node triggers the one dispatch that drains all
 	// 10k synchronous builds.
-	if err := srv.RegisterNode(accessserver.NewFlakyNode(simNode{name: "n1", devices: devices})); err != nil {
+	if err := srv.RegisterNode(accessserver.NewFlakyNode(NewNode("n1", devices...))); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range all {
 		if b.State() != accessserver.StateSuccess {
 			t.Fatalf("build %d ended %v after the drain", i, b.State())
 		}
+	}
+}
+
+// TestDriveReportsStall: a run that never reports back on a node with
+// no heartbeat ticker leaves the build running with nothing left on
+// the clock — Drive must say so instead of spinning or returning nil.
+func TestDriveReportsStall(t *testing.T) {
+	clk, srv, admin := newDirectServer(t, accessserver.Config{Executors: 1})
+	// Plain registration: no health monitoring, so no probe ticker and
+	// no lease watchdog to break the hung run.
+	n := accessserver.NewFlakyNode(NewNode("n1", "pixel4-a"))
+	if err := srv.Nodes.Register(n); err != nil {
+		t.Fatal(err)
+	}
+	b, err := srv.SubmitSpec(admin, simSpec("n1", "pixel4-a", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.State() != accessserver.StateRunning {
+		t.Fatalf("build is %v after submit, want running", b.State())
+	}
+	// The backend's run pings the node when its 10 s elapse; a dead
+	// node never calls done.
+	n.Kill()
+	err = Drive(clk, []*accessserver.Build{b}, time.Hour)
+	if !errors.Is(err, errStalled) {
+		t.Fatalf("Drive = %v, want the stall error", err)
+	}
+	if b.State() != accessserver.StateRunning {
+		t.Fatalf("build is %v after the stall, want still running", b.State())
+	}
+}
+
+// TestRunSafetyNet: a script whose work lies past MaxSimulated fails
+// with the safety-net error rather than running on.
+func TestRunSafetyNet(t *testing.T) {
+	_, err := Run(Script{
+		Nodes:        []NodeSpec{{Name: "n1", Devices: []string{"pixel4-a"}}},
+		Builds:       []BuildSpec{{Owner: "ana", Node: "n1", Device: "pixel4-a", Duration: 10 * time.Second}},
+		MaxSimulated: time.Second,
+	})
+	if !errors.Is(err, errOverBudget) {
+		t.Fatalf("Run = %v, want the safety-net error", err)
 	}
 }

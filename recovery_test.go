@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver"
+	"batterylab/internal/accessserver/schedsim"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
@@ -68,27 +69,8 @@ func (l *recoveryLab) idleSpec(node string) api.ExperimentSpec {
 // drive advances the virtual clock until every build is terminal.
 func (l *recoveryLab) drive(t *testing.T, builds []*accessserver.Build) {
 	t.Helper()
-	deadline := l.clk.Now().Add(4 * time.Hour)
-	for {
-		done := true
-		for _, b := range builds {
-			switch b.State() {
-			case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			default:
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		next, ok := l.clk.NextDeadline()
-		if !ok {
-			t.Fatalf("stalled: no pending timers, %d queued", l.srv.QueueLength())
-		}
-		if next.After(deadline) {
-			t.Fatalf("did not finish within the simulated budget")
-		}
-		l.clk.RunUntil(next)
+	if err := schedsim.Drive(l.clk, builds, 4*time.Hour); err != nil {
+		t.Fatalf("%v (%d queued)", err, l.srv.QueueLength())
 	}
 }
 
