@@ -240,6 +240,14 @@ func runCrashScenario(t *testing.T, dir string) map[int]*store.Snapshot {
 	// campaign.
 	at(17 * time.Minute)
 	must(srv.RemoveNode(alice, "vp2"))
+	// vp2 comes back through the plain registry. Registration overrides
+	// the tombstone for health, but only a record may change the
+	// persisted row, so the reads here must leave it as folded.
+	must(srv.Nodes.Register(staticNode{name: "vp2"}))
+	if h := srv.NodeHealth("vp2").Health; h != HealthOnline {
+		t.Fatalf("vp2 re-registered after removal: %v, want online", h)
+	}
+	srv.Kick()
 	at(40 * time.Minute)
 	if _, err := srv.Build(ok.ID); !errors.Is(err, ErrExpired) {
 		t.Fatalf("finished build after retention: %v, want ErrExpired", err)

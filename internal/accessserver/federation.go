@@ -210,12 +210,13 @@ func (s *Server) adoptPeer(name, url string) {
 func (s *Server) peerCensus(now time.Time) []api.PeerNode {
 	var out []api.PeerNode
 	for _, e := range s.reads.nodeList() {
-		if e.Removed {
+		st := s.view(e, e.registered, now)
+		if st.Removed {
 			continue
 		}
 		out = append(out, api.PeerNode{
 			Name:    e.Name,
-			Health:  s.censusHealth(e, e.registered, now).String(),
+			Health:  st.Health.String(),
 			Devices: append([]string(nil), e.Devices...),
 			Running: e.Running,
 		})

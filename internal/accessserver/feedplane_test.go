@@ -67,9 +67,10 @@ func TestFeedPlaneLockFree(t *testing.T) {
 	defer cancel() // unblock the streams before wg.Wait and ts.Close
 	waitGauge(t, 100, v.srv.m.feedSubscribers.Value)
 
-	// The flood: a thousand reads across the hot routes. None may touch
-	// s.mu. (Deliberately not GET /api/v1/metrics — the scheduler
-	// collector reports queue depth from under the lock by design.)
+	// The flood: a thousand reads across the hot routes, each followed
+	// by a NodeHealth read of every node. None may touch s.mu.
+	// (Deliberately not GET /api/v1/metrics — the scheduler collector
+	// reports queue depth from under the lock by design.)
 	before := v.srv.SchedLockAcquisitions()
 	paths := []string{
 		fmt.Sprintf("/api/v1/builds/%d", target),
@@ -78,6 +79,7 @@ func TestFeedPlaneLockFree(t *testing.T) {
 		"/api/v1/nodes/node1",
 		fmt.Sprintf("/api/v1/campaigns/%d", v.campaign),
 	}
+	nodes := v.srv.Nodes.List()
 	const workers = 8
 	var polls atomic.Int64
 	var pwg sync.WaitGroup
@@ -94,6 +96,9 @@ func TestFeedPlaneLockFree(t *testing.T) {
 					return
 				}
 				polls.Add(1)
+				for _, n := range nodes {
+					v.srv.NodeHealth(n)
+				}
 			}
 		}(w)
 	}

@@ -3,7 +3,6 @@ package accessserver
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"batterylab/internal/accessserver/store"
@@ -140,40 +139,70 @@ type nodeRec struct {
 }
 
 // recLocked resolves (creating on first sight) a node's lifecycle
-// record. Callers hold s.mu.
+// record. A new record is a new census row, so it marks the census
+// dirty. Callers hold s.mu.
 func (s *Server) recLocked(name string) *nodeRec {
 	rec, ok := s.nodeRecs[name]
 	if !ok {
 		rec = &nodeRec{name: name, lastBeat: s.clock.Now()}
 		s.nodeRecs[name] = rec
+		s.mu.censusDirty = true
 	}
 	return rec
 }
 
-// healthLocked computes a node's state at now. Offline outranks
-// draining: a node that dies mid-drain must still break its build
-// leases — draining only labels the alive states, where its meaning
-// (no new dispatch, running builds finish) applies. Callers hold s.mu.
-func (s *Server) healthLocked(rec *nodeRec, now time.Time) Health {
+// nodeFacts are what the node-health rule reads about one node: its
+// lifecycle flags, its last beat, and whether the registry holds it
+// right now (a lifecycle record does not know that; the caller looks it
+// up).
+type nodeFacts struct {
+	monitored, draining, removed, registered bool
+	lastBeat                                 time.Time
+}
+
+// facts are rec's rule inputs given the node's registry membership. A
+// nil rec (never recorded) is an unmonitored, undrained node.
+func (rec *nodeRec) facts(registered bool) nodeFacts {
 	if rec == nil {
-		return HealthOnline // unmonitored, never drained: pre-health behavior
+		return nodeFacts{registered: registered}
 	}
-	if rec.removed {
+	return nodeFacts{monitored: rec.monitored, draining: rec.draining, removed: rec.removed,
+		registered: registered, lastBeat: rec.lastBeat}
+}
+
+// health is the one node-health rule. Placement, aging, the lease
+// watchdog, the census, blab_nodes and NodeHealth all call it:
+//
+//   - an unregistered node is offline, tombstoned or not; a registered
+//     node overrides its removal tombstone;
+//   - offline outranks draining: a node that dies mid-drain must still
+//     break its build leases, so draining only labels the alive states;
+//   - a monitored node turns suspect after SuspectAfter of silence and
+//     offline after OfflineAfter; an unmonitored one stays online.
+func (f nodeFacts) health(cfg *Config, now time.Time) Health {
+	silence := now.Sub(f.lastBeat)
+	switch {
+	case !f.registered, f.monitored && silence >= cfg.OfflineAfter:
 		return HealthOffline
-	}
-	if rec.monitored && now.Sub(rec.lastBeat) >= s.cfg.OfflineAfter {
-		return HealthOffline
-	}
-	if rec.draining {
+	case f.draining:
 		return HealthDraining
-	}
-	if !rec.monitored {
-		return HealthOnline
-	}
-	if now.Sub(rec.lastBeat) < s.cfg.SuspectAfter {
+	case !f.monitored, silence < cfg.SuspectAfter:
 		return HealthOnline
 	}
 	return HealthSuspect
+}
+
+// tombstoned reports whether the removal tombstone stands: the node was
+// removed and nothing has registered it since.
+func (f nodeFacts) tombstoned() bool { return f.removed && !f.registered }
+
+// healthLocked judges a live node: its registry handle (nil when
+// unregistered) and its health at now by the one rule, given rec, its
+// lifecycle record (nil: never recorded). Placement, aging, the lease
+// watchdog and heartbeats all ask it. Callers hold s.mu.
+func (s *Server) healthLocked(name string, rec *nodeRec, now time.Time) (Node, Health) {
+	n, err := s.Nodes.Get(name)
+	return n, rec.facts(err == nil).health(&s.cfg, now)
 }
 
 // MonitorNode arms heartbeat-driven health tracking for a registered
@@ -198,6 +227,7 @@ func (s *Server) MonitorNode(name string) error {
 	defer s.mu.Unlock()
 	rec := s.recLocked(name)
 	rec.lastBeat = s.clock.Now()
+	s.mu.censusDirty = true
 	if rec.monitored {
 		// Already armed: only a changed device list is new state. It is
 		// committed, drain flag intact, so a restart restores it; an
@@ -320,7 +350,8 @@ func (s *Server) Heartbeat(name string) {
 	now := s.clock.Now()
 	s.mu.Lock()
 	rec := s.recLocked(name)
-	wasOnline := s.healthLocked(rec, now) == HealthOnline
+	_, h := s.healthLocked(name, rec, now)
+	wasOnline := h == HealthOnline
 	rec.beats++
 	// A beat that ends a silence window is a flap: the node was
 	// suspect or offline (by missed beats — drain and removal are
@@ -424,118 +455,11 @@ func (s *Server) RemoveNode(user *User, name string) error {
 	return nil
 }
 
-// NodeHealth reports a node's lifecycle snapshot. Unregistered,
-// never-seen nodes report offline with a zero LastHeartbeat.
+// NodeHealth reports a node's served lifecycle snapshot — the census
+// view GET /api/v1/nodes/{name} serves, read without the scheduler
+// lock. Unregistered, never-seen nodes report offline with a zero
+// LastHeartbeat.
 func (s *Server) NodeHealth(name string) NodeStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nodeStatusLocked(name)
-}
-
-// HealthOf reports a node's lifecycle state plus, for monitored nodes,
-// the cached device list — O(1), no queue scan and no network round
-// trip. The fleet listing uses it; NodeHealth serves the full
-// snapshot. monitored=false means the caller must list devices live if
-// it wants them.
-func (s *Server) HealthOf(name string) (health Health, devices []string, monitored bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	registered := false
-	if _, err := s.Nodes.Get(name); err == nil {
-		registered = true
-	}
-	rec := s.nodeRecs[name]
-	if rec == nil {
-		if registered {
-			return HealthOnline, nil, false
-		}
-		return HealthOffline, nil, false
-	}
-	// A removed node that reappeared through the plain registry path is
-	// back: clear the tombstone so it is not reported (and skipped by
-	// placement) as removed forever.
-	if rec.removed && registered {
-		rec.removed = false
-	}
-	if !registered && !rec.removed {
-		return HealthOffline, nil, rec.monitored
-	}
-	return s.healthLocked(rec, s.clock.Now()), append([]string(nil), rec.devices...), rec.monitored
-}
-
-func (s *Server) nodeStatusLocked(name string) NodeStatus {
-	queued := 0
-	for _, b := range s.queue {
-		if cons, _, err := s.pipelineLocked(b); err == nil && cons.Node == name {
-			queued++
-		}
-	}
-	st, _ := s.nodeEntryLocked(name, queued)
+	st, _, _ := s.servedNode(name, s.clock.Now())
 	return st
-}
-
-// nodeEntryLocked builds one node's lifecycle snapshot given its
-// precomputed queued-build count, and reports whether the node is
-// currently registered. Census publication calls it once per node after
-// a single queue scan; nodeStatusLocked wraps it for one-off lookups.
-// Callers hold s.mu.
-func (s *Server) nodeEntryLocked(name string, queued int) (NodeStatus, bool) {
-	now := s.clock.Now()
-	st := NodeStatus{Name: name}
-	rec := s.nodeRecs[name]
-	registered := false
-	if _, err := s.Nodes.Get(name); err == nil {
-		registered = true
-	}
-	if rec == nil {
-		if registered {
-			st.Health = HealthOnline
-		} else {
-			st.Health = HealthOffline
-		}
-		return st, registered
-	}
-	if rec.removed && registered {
-		rec.removed = false // node re-registered after removal
-	}
-	st.Monitored = rec.monitored
-	st.Draining = rec.draining
-	st.Removed = rec.removed
-	st.LastHeartbeat = rec.lastBeat
-	st.Running = rec.running
-	st.Queued = queued
-	st.Devices = append([]string(nil), rec.devices...)
-	st.Beats = rec.beats
-	st.Flaps = rec.flaps
-	st.Failovers = rec.failovers
-	if !registered && !rec.removed {
-		st.Health = HealthOffline
-	} else {
-		st.Health = s.healthLocked(rec, now)
-	}
-	return st, registered
-}
-
-// NodeStatuses snapshots every known node (registered or remembered),
-// sorted by name.
-func (s *Server) NodeStatuses() []NodeStatus {
-	names := map[string]bool{}
-	for _, n := range s.Nodes.List() {
-		names[n] = true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for n := range s.nodeRecs {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	out := make([]NodeStatus, 0, len(sorted))
-	for _, n := range sorted {
-		out = append(out, s.nodeStatusLocked(n))
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"batterylab/internal/api"
 	"batterylab/internal/controller"
+	"batterylab/internal/metrics"
 	"batterylab/internal/simclock"
 )
 
@@ -691,7 +693,7 @@ func TestDrainAndRemoveNode(t *testing.T) {
 	if err := srv.Nodes.Register(fakeVP{name: "vp2"}); err != nil {
 		t.Fatal(err)
 	}
-	if h, _, _ := srv.HealthOf("vp2"); h != HealthOnline {
+	if h := srv.NodeHealth("vp2").Health; h != HealthOnline {
 		t.Fatalf("re-registered node health = %v, want online", h)
 	}
 	revived, _ := srv.SubmitSpec(admin, api.ExperimentSpec{
@@ -781,6 +783,138 @@ func TestNodeDetailEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if len(infos) != 1 || infos[0].Health != api.HealthOffline {
 		t.Fatalf("node list = %+v, want vp1 offline", infos)
+	}
+}
+
+// TestNodeGaugeMatchesNodeHealth: blab_nodes{state} tallies the same
+// census NodeHealth serves, by the same rule — after a node leaves the
+// plain registry, and after an admin removal followed by a plain
+// re-registration. The gauge is scraped before any NodeHealth read, so
+// a read that repairs state cannot mask a disagreement.
+func TestNodeGaugeMatchesNodeHealth(t *testing.T) {
+	clk := simclock.NewVirtual()
+	srv := New(clk, faultCfg())
+	admin, _ := srv.Users.Add("a", RoleAdmin)
+	for _, n := range []string{"vp1", "vp2"} {
+		if err := srv.RegisterNode(fakeVP{name: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string, want map[Health]int) {
+		t.Helper()
+		snap := srv.MetricsSnapshot()
+		got := map[Health]int{}
+		for _, n := range []string{"vp1", "vp2"} {
+			got[srv.NodeHealth(n).Health]++
+		}
+		for _, h := range []Health{HealthOnline, HealthSuspect, HealthOffline, HealthDraining} {
+			gauge := snapGauge(t, snap, "blab_nodes", metrics.Label{Name: "state", Value: h.String()})
+			if int(gauge) != got[h] || got[h] != want[h] {
+				t.Errorf("%s: blab_nodes{state=%q} = %v, NodeHealth counts %d, want %d", step, h, gauge, got[h], want[h])
+			}
+		}
+	}
+	if err := srv.Nodes.Remove("vp2"); err != nil {
+		t.Fatal(err)
+	}
+	check("after Nodes.Remove", map[Health]int{HealthOnline: 1, HealthOffline: 1})
+
+	if err := srv.Nodes.Register(fakeVP{name: "vp2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RemoveNode(admin, "vp2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Nodes.Register(fakeVP{name: "vp2"}); err != nil {
+		t.Fatal(err)
+	}
+	check("after RemoveNode and a re-register", map[Health]int{HealthOnline: 2})
+}
+
+// TestNodeReadsDoNotMutateState: reading a re-registered node's health
+// — NodeHealth, the detail route, a dispatch pass — leaves the
+// persisted state untouched. The removal tombstone changes only through
+// a committed record, so a restart cannot drift from live.
+func TestNodeReadsDoNotMutateState(t *testing.T) {
+	clk := simclock.NewVirtual()
+	srv := New(clk, faultCfg())
+	admin, _ := srv.Users.Add("a", RoleAdmin)
+	for _, n := range []string{"vp1", "vp2"} {
+		if err := srv.RegisterNode(fakeVP{name: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.RemoveNode(admin, "vp2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Nodes.Register(fakeVP{name: "vp2"}); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() any {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		srv.Users.mu.RLock()
+		defer srv.Users.mu.RUnlock()
+		srv.Ledger.mu.Lock()
+		defer srv.Ledger.mu.Unlock()
+		return srv.buildSnapshotLocked()
+	}
+	before := snapshot()
+
+	if h := srv.NodeHealth("vp2").Health; h != HealthOnline {
+		t.Errorf("re-registered node health = %v, want online", h)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp := get(t, ts.URL+"/api/v1/nodes/vp2", admin.Token)
+	var detail api.NodeDetail
+	json.NewDecoder(resp.Body).Decode(&detail)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || detail.Health != api.HealthOnline {
+		t.Errorf("detail: HTTP %d, %+v; want 200 online", resp.StatusCode, detail)
+	}
+	srv.Kick()
+
+	if after := snapshot(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("reads changed the persisted state:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// TestCensusFreshAfterRearm: re-arming a monitored node with an
+// unchanged device list records a fresh beat, and the served census
+// carries it — NodeHealth and the detail route agree on health and last
+// heartbeat.
+func TestCensusFreshAfterRearm(t *testing.T) {
+	clk := simclock.NewVirtual()
+	srv := New(clk, faultCfg())
+	admin, _ := srv.Users.Add("a", RoleAdmin)
+	flk := NewFlakyNode(fakeVP{name: "vp1"})
+	if err := srv.RegisterNode(flk); err != nil {
+		t.Fatal(err)
+	}
+	flk.Kill()
+	clk.Advance(2500 * time.Millisecond) // past SuspectAfter, between probes
+	if h := srv.NodeHealth("vp1").Health; h != HealthSuspect {
+		t.Fatalf("silent node = %v, want suspect", h)
+	}
+	flk.Revive()
+	if err := srv.MonitorNode("vp1"); err != nil {
+		t.Fatal(err)
+	}
+
+	st := srv.NodeHealth("vp1")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp := get(t, ts.URL+"/api/v1/nodes/vp1", admin.Token)
+	var detail api.NodeDetail
+	json.NewDecoder(resp.Body).Decode(&detail)
+	resp.Body.Close()
+	if st.Health != HealthOnline || detail.Health != st.Health.String() {
+		t.Fatalf("after re-arm: NodeHealth %v, detail %q; want both online", st.Health, detail.Health)
+	}
+	if want := clk.Now().UnixNano(); st.LastHeartbeat.UnixNano() != want || detail.LastHeartbeatNS != want {
+		t.Fatalf("after re-arm: NodeHealth beat %d, detail beat %d; want %d",
+			st.LastHeartbeat.UnixNano(), detail.LastHeartbeatNS, want)
 	}
 }
 

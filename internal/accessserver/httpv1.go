@@ -91,21 +91,11 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		names := s.Nodes.List()
 		infos := make([]api.NodeInfo, 0, len(names))
 		for _, name := range names {
-			e, ok := s.reads.node(name)
-			if !ok {
-				e = nodeCensusEntry{NodeStatus: NodeStatus{Name: name}}
-			}
-			devs := e.Devices
-			if !e.Monitored {
-				// Monitored nodes serve the cached device list: one hung
-				// vantage point must not stall the whole fleet listing on
-				// a live list_devices round trip.
-				devs, _ = s.Nodes.Devices(name)
-			}
+			st, _, _ := s.servedNode(name, now)
 			infos = append(infos, api.NodeInfo{
 				Name:    name,
-				Devices: devs,
-				Health:  s.censusHealth(e, true, now).String(),
+				Devices: s.servedDevices(st),
+				Health:  st.Health.String(),
 			})
 		}
 		writeJSON(w, http.StatusOK, infos)
@@ -115,32 +105,18 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			return
 		}
 		name := r.PathValue("name")
-		// Census-served (registry membership checked live, on the
-		// registry's own lock): the detail route never touches s.mu.
-		_, regErr := s.Nodes.Get(name)
-		st, ok := s.reads.node(name)
-		if !ok {
-			if regErr != nil {
-				writeError(w, regErr)
-				return
-			}
-			st = nodeCensusEntry{NodeStatus: NodeStatus{Name: name}}
-		}
-		if regErr != nil && !st.Removed && !st.Monitored {
+		// Census-served: the detail route never touches s.mu. A node the
+		// registry dropped stays visible while it is tombstoned or was
+		// monitored.
+		st, regErr, known := s.servedNode(name, s.clock.Now())
+		if !known || regErr != nil && !st.Removed && !st.Monitored {
 			writeError(w, regErr)
 			return
 		}
-		// Monitored nodes serve the cached device list: this endpoint
-		// diagnoses sick nodes, so it must never block on a live
-		// list_devices round trip to one.
-		devs := st.Devices
-		if !st.Monitored {
-			devs, _ = s.Nodes.Devices(name)
-		}
 		detail := api.NodeDetail{
 			Name:          name,
-			Devices:       devs,
-			Health:        s.censusHealth(st, regErr == nil, s.clock.Now()).String(),
+			Devices:       s.servedDevices(st),
+			Health:        st.Health.String(),
 			Monitored:     st.Monitored,
 			Draining:      st.Draining,
 			RunningBuilds: st.Running,

@@ -234,13 +234,16 @@ func (s *Server) collectScheduler(e *metrics.Emitter) {
 			float64(pending[cat]), metrics.Label{Name: "reason", Value: cat})
 	}
 
-	// Node health census.
+	// Node health census: the published census, judged as NodeHealth
+	// judges it.
 	now := s.clock.Now()
 	health := map[Health]int{}
 	monitored := 0
-	for _, rec := range s.nodeRecs {
-		health[s.healthLocked(rec, now)]++
-		if rec.monitored {
+	for _, e := range s.reads.nodeList() {
+		_, regErr := s.Nodes.Get(e.Name)
+		st := s.view(e, regErr == nil, now)
+		health[st.Health]++
+		if st.Monitored {
 			monitored++
 		}
 	}

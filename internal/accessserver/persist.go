@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"slices"
 	"sort"
 	"time"
 
@@ -277,19 +278,23 @@ func (s *Server) restartLocked(stats *RecoveryStats, armed map[string][]string) 
 		rec := s.nodeRecs[name]
 		rec.lastBeat = now // the node proves itself alive again from here
 		if devices, ok := armed[name]; ok {
-			rec.monitored, rec.removed, rec.devices = true, false, devices
+			// Monitored this boot: the arm wins over the folded row, and
+			// is committed so a second crash replays it.
+			if !rec.monitored || rec.removed || !slices.Equal(rec.devices, devices) {
+				s.commitLocked(store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
+					Name: name, Monitored: true, Draining: rec.draining, Devices: devices,
+				}})
+			}
 			continue
 		}
-		if _, err := s.Nodes.Get(name); err == nil {
-			rec.removed = false // re-registered this boot: the removal is over
-		}
-		if rec.monitored && !rec.removed && rec.ticker == nil {
+		if rec.monitored && rec.ticker == nil {
 			rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
 				s.probeNode(name)
 			})
 		}
 	}
 	stats.Nodes = len(nodeNames)
+	s.mu.censusDirty = true // every node's last beat moved
 
 	ids := make([]int, 0, len(s.builds))
 	for id := range s.builds {

@@ -149,12 +149,13 @@ func (s *Server) SetPlacer(p Placer) {
 }
 
 // candidateLocked assembles the scored view of one (node, device)
-// pair. Callers hold s.mu.
-func (s *Server) candidateLocked(rec *nodeRec, device, wantDevice string, now time.Time) PlacementCandidate {
+// pair, given the node's health as the caller judged it. Callers hold
+// s.mu.
+func (s *Server) candidateLocked(rec *nodeRec, h Health, device, wantDevice string, now time.Time) PlacementCandidate {
 	c := PlacementCandidate{
 		Node:    rec.name,
 		Device:  device,
-		Health:  s.healthLocked(rec, now),
+		Health:  h,
 		Running: rec.running,
 		Flaps:   rec.flaps,
 	}

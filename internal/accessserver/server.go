@@ -1214,26 +1214,19 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 // s.mu.
 func (s *Server) placeLocked(cons Constraints, routable bool, now time.Time) (placement, string) {
 	rec := s.nodeRecs[cons.Node]
-	n, err := s.Nodes.Get(cons.Node)
-	// A removed node that reappeared through the plain registry path is
-	// back; clear the tombstone so it is placeable again.
-	if err == nil && rec != nil && rec.removed {
-		rec.removed = false
-	}
+	n, h := s.healthLocked(cons.Node, rec, now)
 	var reason string
 	switch {
-	case err == nil && (rec == nil || !rec.removed):
-		h := s.healthLocked(rec, now)
-		if h == HealthOnline {
-			// Pinned placement: the preferred node is up, so it wins
-			// outright — scoring only arbitrates substitutes. The score
-			// is still computed for the status surface.
-			score := 0.0
-			if rec != nil {
-				score = s.placer.Score(s.candidateLocked(rec, cons.Device, cons.Device, now))
-			}
-			return placement{node: n, nodeName: cons.Node, device: cons.Device, score: score}, ""
+	case h == HealthOnline:
+		// Pinned placement: the preferred node is up, so it wins
+		// outright — scoring only arbitrates substitutes. The score is
+		// still computed for the status surface.
+		score := 0.0
+		if rec != nil {
+			score = s.placer.Score(s.candidateLocked(rec, h, cons.Device, cons.Device, now))
 		}
+		return placement{node: n, nodeName: cons.Node, device: cons.Device, score: score}, ""
+	case n != nil:
 		reason = fmt.Sprintf("node %q is %s", cons.Node, h)
 	case rec != nil && rec.removed:
 		reason = fmt.Sprintf("node %q was removed", cons.Node)
@@ -1291,19 +1284,16 @@ func (s *Server) placeLocked(cons Constraints, routable bool, now time.Time) (pl
 	sort.Strings(names)
 	for _, name := range names {
 		sub := s.nodeRecs[name]
-		if name == cons.Node || !sub.monitored || sub.removed {
+		if name == cons.Node || !sub.monitored {
 			continue
 		}
-		if s.healthLocked(sub, now) != HealthOnline {
-			continue
-		}
-		subNode, err := s.Nodes.Get(name)
-		if err != nil {
+		subNode, h := s.healthLocked(name, sub, now)
+		if h != HealthOnline {
 			continue
 		}
 		local := func(device string) {
 			consider(placement{node: subNode, nodeName: name, device: device},
-				s.placer.Score(s.candidateLocked(sub, device, cons.Device, now)))
+				s.placer.Score(s.candidateLocked(sub, HealthOnline, device, cons.Device, now)))
 		}
 		if cons.Device == "" {
 			local("")
@@ -1476,11 +1466,11 @@ func (s *Server) checkLease(b *Build, attempt int) {
 	nodeName := b.nodeName
 	b.mu.Unlock()
 	rec := s.nodeRecs[nodeName]
-	if rec == nil || !rec.monitored || rec.removed {
-		// Dormant, not dead: removal intentionally lets running builds
-		// finish and unmonitored nodes hold no lease — but keep the
-		// watchdog armed so protection resumes if the node is
-		// re-monitored later and then dies.
+	if rec == nil || !rec.monitored {
+		// Dormant, not dead: removal (which unmonitors) intentionally
+		// lets running builds finish and unmonitored nodes hold no lease
+		// — but keep the watchdog armed so protection resumes if the
+		// node is re-monitored later and then dies.
 		b.mu.Lock()
 		b.leaseTimer = s.clock.AfterFunc(s.cfg.OfflineAfter, func() { s.checkLease(b, attempt) })
 		b.mu.Unlock()
@@ -1488,7 +1478,7 @@ func (s *Server) checkLease(b *Build, attempt int) {
 		return
 	}
 	now := s.clock.Now()
-	if s.healthLocked(rec, now) != HealthOffline {
+	if _, h := s.healthLocked(nodeName, rec, now); h != HealthOffline {
 		// Node still beating (or merely suspect): renew the lease to one
 		// offline window past its latest beat.
 		next := rec.lastBeat.Add(s.cfg.OfflineAfter).Sub(now)
@@ -1646,21 +1636,14 @@ func (s *Server) checkAging(b *Build) {
 		// substitute. A live-but-busy node means the queue is draining
 		// and the build will run; killing it would lose campaign tails
 		// whose backlog on the survivor exceeds PendingTimeout.
-		rec := s.nodeRecs[cons.Node]
-		alive := false
-		if _, regErr := s.Nodes.Get(cons.Node); regErr == nil &&
-			(rec == nil || !rec.removed) && s.healthLocked(rec, now) != HealthOffline {
-			alive = true
-		}
+		_, h := s.healthLocked(cons.Node, s.nodeRecs[cons.Node], now)
+		alive := h != HealthOffline
 		if !alive && cons.Fallback {
 			for name, sub := range s.nodeRecs {
-				if name == cons.Node || !sub.monitored || sub.removed {
+				if name == cons.Node || !sub.monitored {
 					continue
 				}
-				if s.healthLocked(sub, now) != HealthOnline {
-					continue
-				}
-				if _, regErr := s.Nodes.Get(name); regErr == nil {
+				if _, h := s.healthLocked(name, sub, now); h == HealthOnline {
 					alive = true
 					break
 				}

@@ -10,10 +10,13 @@ import (
 )
 
 // nodeCensusEntry is one node's published lifecycle snapshot plus the
-// registry membership bit the /nodes listing filters on.
+// rule inputs NodeStatus does not carry: registry membership as of
+// publication and the raw removal tombstone. Health and Removed are
+// derived on read (see view).
 type nodeCensusEntry struct {
 	NodeStatus
 	registered bool
+	removed    bool
 }
 
 // readPlane is the server's snapshot-served read side: immutable
@@ -179,34 +182,45 @@ func (rp *readPlane) node(name string) (nodeCensusEntry, bool) {
 	return nodeCensusEntry{}, false
 }
 
-// censusHealth recomputes a census entry's health at now. Health is
-// time-derived — a silent node ages into suspect and then offline
-// without any scheduler transition republishing the census — so the
-// read path derives it fresh from the published heartbeat instead of
-// trusting the value computed at publish time. Mirrors healthLocked
-// plus nodeEntryLocked's registration rule, using only snapshot fields
-// and the live registry membership the caller checked (on the
-// registry's own lock, never s.mu).
-func (s *Server) censusHealth(e nodeCensusEntry, registered bool, now time.Time) Health {
-	if e.Removed {
-		return HealthOffline
+// view is e as served given the node's registry membership: health
+// by the one rule at now — health is time-derived, so a silent node
+// ages into suspect and offline without any transition republishing the
+// census — and Removed while the tombstone stands.
+func (s *Server) view(e nodeCensusEntry, registered bool, now time.Time) NodeStatus {
+	f := nodeFacts{monitored: e.Monitored, draining: e.Draining, removed: e.removed,
+		registered: registered, lastBeat: e.LastHeartbeat}
+	st := e.NodeStatus
+	st.Health = f.health(&s.cfg, now)
+	st.Removed = f.tombstoned()
+	return st
+}
+
+// servedNode is the one served view of a node, shared by NodeHealth
+// and both node routes (blab_nodes judges each census entry the same
+// way): its census entry — a bare one for a
+// registered node the census has not caught up with — judged with
+// registry membership checked live, on the registry's own lock (regErr
+// is the registry's answer). It never takes s.mu. known is false for a
+// name neither registered nor in the census.
+func (s *Server) servedNode(name string, now time.Time) (st NodeStatus, regErr error, known bool) {
+	_, regErr = s.Nodes.Get(name)
+	e, known := s.reads.node(name)
+	if !known {
+		e = nodeCensusEntry{NodeStatus: NodeStatus{Name: name}}
 	}
-	if !registered {
-		return HealthOffline
+	return s.view(e, regErr == nil, now), regErr, known || regErr == nil
+}
+
+// servedDevices is a served node's device list. Monitored nodes serve
+// the cached list: the node routes list the whole fleet and diagnose
+// sick nodes, so they must never block on a live list_devices round
+// trip to a hung one.
+func (s *Server) servedDevices(st NodeStatus) []string {
+	if st.Monitored {
+		return st.Devices
 	}
-	if e.Monitored && now.Sub(e.LastHeartbeat) >= s.cfg.OfflineAfter {
-		return HealthOffline
-	}
-	if e.Draining {
-		return HealthDraining
-	}
-	if !e.Monitored {
-		return HealthOnline
-	}
-	if now.Sub(e.LastHeartbeat) < s.cfg.SuspectAfter {
-		return HealthOnline
-	}
-	return HealthSuspect
+	devs, _ := s.Nodes.Devices(st.Name)
+	return devs
 }
 
 // publishBuildLocked republishes b's served wire-form status after a
@@ -242,8 +256,20 @@ func (s *Server) publishNodesLocked() {
 	sort.Strings(sorted)
 	list := make([]nodeCensusEntry, 0, len(sorted))
 	for _, n := range sorted {
-		st, registered := s.nodeEntryLocked(n, queued[n])
-		list = append(list, nodeCensusEntry{NodeStatus: st, registered: registered})
+		_, err := s.Nodes.Get(n)
+		e := nodeCensusEntry{NodeStatus: NodeStatus{Name: n, Queued: queued[n]}, registered: err == nil}
+		if rec := s.nodeRecs[n]; rec != nil {
+			e.Monitored = rec.monitored
+			e.Draining = rec.draining
+			e.LastHeartbeat = rec.lastBeat
+			e.Running = rec.running
+			e.Devices = append([]string(nil), rec.devices...)
+			e.Beats = rec.beats
+			e.Flaps = rec.flaps
+			e.Failovers = rec.failovers
+			e.removed = rec.removed
+		}
+		list = append(list, e)
 	}
 	s.reads.publishNodes(list)
 }
